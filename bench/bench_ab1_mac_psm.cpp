@@ -18,9 +18,8 @@
 #include "core/backend.hpp"
 #include "core/scenario_spec.hpp"
 #include "mac/access_point.hpp"
-#include "mac/pamas.hpp"
 #include "mac/station.hpp"
-#include "power/battery.hpp"
+#include "policy/world.hpp"
 #include "traffic/source.hpp"
 
 using namespace wlanps;
@@ -63,26 +62,19 @@ void listening_fraction() {
 void pamas_demo() {
     std::printf("\nPAMAS battery-driven sleep (cycle period vs battery level):\n");
     sim::Simulator sim;
-    sim::Random root(11);
-    mac::Bss bss(sim);
-    mac::AccessPointConfig ap_cfg;
-    ap_cfg.mode = mac::ApMode::psm;
-    mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(1));
-    // Tiny battery so the drain is visible within the run.
-    power::BatteryConfig bat_cfg;
-    bat_cfg.capacity = power::Energy::from_joules(60.0);
-    power::Battery battery(bat_cfg);
-    mac::PamasConfig pamas_cfg;
-    mac::PamasStation st(sim, bss, 1, ap, battery, pamas_cfg, phy::WlanNicConfig{});
-    traffic::PoissonSource src(sim, [&ap](DataSize s) { ap.send(1, s); },
-                               DataSize::from_bytes(1460), Rate::from_kbps(64), root.fork(2));
-    ap.start();
-    st.start();
-    src.start();
+    policy::PolicyWorldConfig wc;
+    wc.clients = 1;
+    wc.seed = 11;
+    // The PAMAS default battery is tiny, so the drain is visible in the run.
+    wc.policy = policy::PowerPolicyConfig::of(policy::PolicyKind::pamas);
+    policy::PolicyBssWorld world(sim, wc, nullptr);
+    world.start();
+    policy::PolicyStation& st = world.station(0);
     for (int checkpoint = 1; checkpoint <= 4; ++checkpoint) {
         sim.run_until(Time::from_seconds(checkpoint * 60));
         std::printf("  t=%3ds  battery %5.1f%%  cycle period %s  frames rx %llu\n",
-                    checkpoint * 60, 100.0 * battery.level(), st.current_period().str().c_str(),
+                    checkpoint * 60, 100.0 * st.battery()->level(),
+                    st.policy().sleep_quantum().str().c_str(),
                     static_cast<unsigned long long>(st.frames_received()));
     }
     bu::note("expected shape: period grows as the battery level falls");

@@ -33,8 +33,13 @@ std::string AnalyticBackend::unsupported_reason(const ScenarioSpec& spec) const 
     if (spec.has_power_policy()) {
         switch (spec.power_policy_config().kind) {
             case policy::PolicyKind::cam:
+                if (!spec.power_policy_config().uplink_period.is_zero()) {
+                    return "the cam closed form models downlink streaming only — run "
+                           "the cam uplink workload on the sim backend";
+                }
+                break;
             case policy::PolicyKind::psm:
-                break;  // adapter kinds map onto the cam/psm closed forms
+                break;  // cam and psm map onto their closed forms
             case policy::PolicyKind::ecmac:
                 return "the EC-MAC superframe schedule is event-driven and has no "
                        "closed-form model — run the ecmac power policy on the sim "

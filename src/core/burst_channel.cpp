@@ -69,21 +69,20 @@ void WlanBurstChannel::next_chunk() {
     // transmits the ACK.
     sim_.post_in(phy::calibration::kWlanDifs, [this, data_air, ack_air] {
         if (nic_.awake()) {
-            const obs::TraceContext ctx = trace_context();
             // A retry re-receives the same chunk: its airtime is energy the
             // first attempt should not have cost.
             nic_.set_energy_cause(progress_.retries > 0
                                       ? obs::EnergyCause::retransmission
                                       : obs::EnergyCause::burst_rx);
-            WLANPS_OBS_FLIGHT(sim_.now().ns(), rx, ctx.flow, ctx.client,
-                              obs::kFlightItfWlan, data_air.ns());
+            WLANPS_OBS_FLIGHT(sim_.now().ns(), rx, trace_context().flow,
+                              trace_context().client, obs::kFlightItfWlan, data_air.ns());
             nic_.occupy(phy::WlanNic::State::rx, data_air);
             sim_.post_in(data_air + phy::calibration::kWlanSifs, [this, ack_air] {
                 if (nic_.awake()) {
-                    const obs::TraceContext actx = trace_context();
                     nic_.set_energy_cause(obs::EnergyCause::tx);
-                    WLANPS_OBS_FLIGHT(sim_.now().ns(), tx, actx.flow, actx.client,
-                                      obs::kFlightItfWlan, ack_air.ns());
+                    WLANPS_OBS_FLIGHT(sim_.now().ns(), tx, trace_context().flow,
+                                      trace_context().client, obs::kFlightItfWlan,
+                                      ack_air.ns());
                     nic_.occupy(phy::WlanNic::State::tx, ack_air);
                 }
             });

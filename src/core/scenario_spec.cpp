@@ -23,6 +23,69 @@ bool known_scheduler(const std::string& name) {
                        [&](const char* n) { return name == n; });
 }
 
+/// Per-kind fault whitelist: each WLAN station build routes a different
+/// subset of the injector hooks, so reject the rest before arm() would.
+void check_fault_hooks(const std::string& label, policy::PolicyKind kind,
+                       const policy::PowerPolicyConfig& power, const fault::FaultPlan& plan) {
+    for (const auto& f : plan.specs()) {
+        bool supported = false;
+        std::string hint;
+        switch (kind) {
+            case policy::PolicyKind::cam:
+                supported = f.kind == fault::FaultKind::nic_lockup ||
+                            f.kind == fault::FaultKind::wake_stuck ||
+                            f.kind == fault::FaultKind::blackout ||
+                            f.kind == fault::FaultKind::corruption;
+                hint = "cam stations route phy and link hooks only "
+                       "(nic-lockup, wake-stuck, blackout, corruption)";
+                break;
+            case policy::PolicyKind::psm:
+                supported = f.kind == fault::FaultKind::beacon_loss ||
+                            f.kind == fault::FaultKind::poll_drop ||
+                            f.kind == fault::FaultKind::blackout ||
+                            f.kind == fault::FaultKind::corruption;
+                hint = "psm stations route MAC and link hooks only "
+                       "(beacon-loss, poll-drop, blackout, corruption)";
+                break;
+            case policy::PolicyKind::ecmac:
+                supported = false;
+                hint = "the ec-mac adapter routes no fault hooks — drop the "
+                       "plan or pick another policy";
+                break;
+            case policy::PolicyKind::micro_nap:
+                // wake_stuck stretches a nap resume past the DCF
+                // carrier-sense guarantee when the policy naps inside
+                // its own backoff countdown.
+                supported = f.kind == fault::FaultKind::nic_lockup ||
+                            f.kind == fault::FaultKind::beacon_loss ||
+                            f.kind == fault::FaultKind::blackout ||
+                            f.kind == fault::FaultKind::corruption ||
+                            (f.kind == fault::FaultKind::wake_stuck &&
+                             !power.micro_nap.nap_on_backoff);
+                hint = f.kind == fault::FaultKind::wake_stuck
+                           ? "wake-stuck would stretch a backoff-nap resume "
+                             "past the station's own DCF fire — disable "
+                             "micro_nap.nap_on_backoff to inject it"
+                           : "micro_nap routes phy, beacon, and link hooks "
+                             "(nic-lockup, beacon-loss, blackout, corruption)";
+                break;
+            case policy::PolicyKind::pamas:
+                supported = f.kind == fault::FaultKind::nic_lockup ||
+                            f.kind == fault::FaultKind::wake_stuck ||
+                            f.kind == fault::FaultKind::beacon_loss ||
+                            f.kind == fault::FaultKind::blackout ||
+                            f.kind == fault::FaultKind::corruption;
+                hint = "pamas routes phy, beacon, and link hooks "
+                       "(nic-lockup, wake-stuck, beacon-loss, blackout, "
+                       "corruption)";
+                break;
+        }
+        WLANPS_REQUIRE_MSG(supported, "'" + label + "' cannot inject '" +
+                                          std::string(fault::to_string(f.kind)) +
+                                          "' — " + hint);
+    }
+}
+
 }  // namespace
 
 power::Power ScenarioResult::mean_wnic() const {
@@ -408,7 +471,7 @@ void ScenarioSpec::validate() const {
                            "' scenario — power policies ride the cam base: "
                            "ScenarioSpec::cam().with_power_policy(...)");
     // Only the cam, psm, hotspot, and federation worlds route fault hooks
-    // (cam and the power-policy worlds take per-kind whitelists below).
+    // (cam, psm and the power-policy worlds take per-kind whitelists below).
     WLANPS_REQUIRE_MSG(
         stream_.fault_plan.empty() ||
             policy_ == Policy::cam || policy_ == Policy::psm ||
@@ -465,73 +528,15 @@ void ScenarioSpec::validate() const {
                             "beacon interval");
                 }
             }
-            // Per-kind fault whitelist: each power policy's world routes a
-            // different subset of the injector hooks.
-            const policy::PolicyKind pk =
-                power_set_ ? power_.kind : policy::PolicyKind::cam;
-            for (const auto& f : stream_.fault_plan.specs()) {
-                bool supported = false;
-                std::string hint;
-                switch (pk) {
-                    case policy::PolicyKind::cam:
-                        supported = f.kind == fault::FaultKind::nic_lockup ||
-                                    f.kind == fault::FaultKind::wake_stuck ||
-                                    f.kind == fault::FaultKind::blackout ||
-                                    f.kind == fault::FaultKind::corruption;
-                        hint = "cam stations route phy and link hooks only "
-                               "(nic_lockup, wake_stuck, blackout, corruption)";
-                        break;
-                    case policy::PolicyKind::psm:
-                        supported = f.kind == fault::FaultKind::beacon_loss ||
-                                    f.kind == fault::FaultKind::poll_drop ||
-                                    f.kind == fault::FaultKind::blackout ||
-                                    f.kind == fault::FaultKind::corruption;
-                        hint = "the psm adapter routes MAC and link hooks only "
-                               "(beacon_loss, poll_drop, blackout, corruption)";
-                        break;
-                    case policy::PolicyKind::ecmac:
-                        supported = false;
-                        hint = "the ec-mac adapter routes no fault hooks — drop the "
-                               "plan or pick another policy";
-                        break;
-                    case policy::PolicyKind::micro_nap:
-                        // wake_stuck stretches a nap resume past the DCF
-                        // carrier-sense guarantee when the policy naps inside
-                        // its own backoff countdown.
-                        supported = f.kind == fault::FaultKind::nic_lockup ||
-                                    f.kind == fault::FaultKind::beacon_loss ||
-                                    f.kind == fault::FaultKind::blackout ||
-                                    f.kind == fault::FaultKind::corruption ||
-                                    (f.kind == fault::FaultKind::wake_stuck &&
-                                     !power_.micro_nap.nap_on_backoff);
-                        hint = f.kind == fault::FaultKind::wake_stuck
-                                   ? "wake_stuck would stretch a backoff-nap resume "
-                                     "past the station's own DCF fire — disable "
-                                     "micro_nap.nap_on_backoff to inject it"
-                                   : "micro_nap routes phy, beacon, and link hooks "
-                                     "(nic_lockup, beacon_loss, blackout, corruption)";
-                        break;
-                    case policy::PolicyKind::pamas:
-                        supported = f.kind == fault::FaultKind::nic_lockup ||
-                                    f.kind == fault::FaultKind::wake_stuck ||
-                                    f.kind == fault::FaultKind::beacon_loss ||
-                                    f.kind == fault::FaultKind::blackout ||
-                                    f.kind == fault::FaultKind::corruption;
-                        hint = "pamas routes phy, beacon, and link hooks "
-                               "(nic_lockup, wake_stuck, beacon_loss, blackout, "
-                               "corruption)";
-                        break;
-                }
-                WLANPS_REQUIRE_MSG(supported, "'" + label() + "' cannot inject '" +
-                                                  std::string(fault::to_string(f.kind)) +
-                                                  "' — " + hint);
-            }
+            check_fault_hooks(label(), power_set_ ? power_.kind : policy::PolicyKind::cam,
+                              power_, stream_.fault_plan);
             break;
         }
         case Policy::bt:
             break;
         case Policy::psm:
             psm_.validate();
+            check_fault_hooks(label(), policy::PolicyKind::psm, power_, stream_.fault_plan);
             break;
         case Policy::ecmac:
             ecmac_.validate();

@@ -1,7 +1,3 @@
-// This translation unit defines the legacy shims, so it opts out of their
-// deprecation warnings.
-#define WLANPS_ALLOW_LEGACY_SCENARIOS
-
 #include "core/scenarios.hpp"
 
 #include <map>
@@ -36,106 +32,6 @@ traffic::PlayoutBuffer::Config mp3_playout() {
     c.capacity = DataSize::from_kilobytes(2048);
     c.start_threshold_frames = 38;  // ~1 s of audio buffered before playing
     return c;
-}
-
-// make_client_metrics / record_client_obs / record_kernel_obs moved to
-// core/scenario_obs.hpp (shared with the sharded hotspot engine).
-ClientMetrics make_metrics(power::Power wnic_avg, power::Energy wnic_energy,
-                           const traffic::PlayoutBuffer& playout, DataSize received) {
-    return make_client_metrics(wnic_avg, wnic_energy, playout, received);
-}
-
-ScenarioResult sim_wlan_cam(const StreamConfig& config) {
-    WLANPS_REQUIRE(config.clients >= 1);
-    sim::Simulator sim;
-    sim::Random root(config.seed);
-    mac::Bss bss(sim);
-    mac::AccessPointConfig ap_cfg;
-    ap_cfg.mode = mac::ApMode::cam;
-    mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(100));
-
-    std::vector<std::unique_ptr<mac::WlanStation>> stations;
-    std::vector<std::unique_ptr<traffic::PlayoutBuffer>> playouts;
-    std::vector<std::unique_ptr<traffic::Mp3Source>> sources;
-
-    for (int i = 0; i < config.clients; ++i) {
-        const auto id = static_cast<mac::StationId>(i + 1);
-        mac::StationConfig st_cfg;
-        st_cfg.mode = mac::StationMode::cam;
-        auto st = std::make_unique<mac::WlanStation>(sim, bss, id, st_cfg, mac::DcfConfig{},
-                                                     config.wlan_nic, root.fork(200 + i));
-        if (obs::EnergyLedger* led = obs::current_ledger()) {
-            st->wlan_nic().attach_ledger(led, static_cast<std::uint32_t>(id));
-        }
-        bss.set_link(id, config.wlan_link, root.fork(300 + i));
-        auto playout = std::make_unique<traffic::PlayoutBuffer>(sim, mp3_playout());
-        st->set_receive_callback(
-            [p = playout.get()](DataSize size, Time) { p->on_data(size); });
-        auto src = std::make_unique<traffic::Mp3Source>(
-            sim, [&ap, id](DataSize size) { ap.send(id, size); });
-        stations.push_back(std::move(st));
-        playouts.push_back(std::move(playout));
-        sources.push_back(std::move(src));
-    }
-
-    // Fault injection: CAM has no beacon/poll dependence, so only the phy
-    // kinds (radio wedge, stuck wake) and link windows route anywhere.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!config.fault_plan.empty()) {
-        injector = std::make_unique<fault::FaultInjector>(sim, config.fault_plan,
-                                                          root.fork(900));
-        injector->phy().nic_lockup = [&stations](std::uint32_t target, Time until) {
-            for (std::size_t i = 0; i < stations.size(); ++i) {
-                if (target == 0 || target == i + 1) stations[i]->wlan_nic().inject_lockup(until);
-            }
-        };
-        injector->phy().wake_stuck = [&stations](std::uint32_t target, Time extra) {
-            for (std::size_t i = 0; i < stations.size(); ++i) {
-                if (target == 0 || target == i + 1) {
-                    stations[i]->wlan_nic().inject_wake_stuck(extra);
-                }
-            }
-        };
-        injector->net().fault_window = [&bss, &sim, &config](std::uint32_t client,
-                                                             fault::FaultSpec::Itf itf,
-                                                             double p, Time until) {
-            if (itf == fault::FaultSpec::Itf::bt) return;  // no BT in this scenario
-            auto apply = [&](mac::StationId id) {
-                if (auto* link = bss.link(id)) link->add_fault_window(sim.now(), until, p);
-            };
-            if (client == 0) {
-                for (int i = 0; i < config.clients; ++i) {
-                    apply(static_cast<mac::StationId>(i + 1));
-                }
-            } else {
-                apply(static_cast<mac::StationId>(client));
-            }
-        };
-    }
-
-    ap.start();
-    for (auto& st : stations) st->start(ap.config().beacon_interval, ap.config().beacon_interval);
-    for (auto& p : playouts) p->start();
-    for (auto& s : sources) s->start();
-    if (injector) injector->arm();
-    sim.run_until(config.duration);
-    for (auto& st : stations) st->wlan_nic().settle_ledger();
-
-    ScenarioResult result;
-    result.label = "wlan-cam";
-    if (injector) result.faults_injected = injector->injected_total();
-    for (int i = 0; i < config.clients; ++i) {
-        result.clients.push_back(make_metrics(stations[static_cast<std::size_t>(i)]->average_power(),
-                                              stations[static_cast<std::size_t>(i)]->energy_consumed(),
-                                              *playouts[static_cast<std::size_t>(i)],
-                                              stations[static_cast<std::size_t>(i)]->bytes_received()));
-    }
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& st : stations) st->wlan_nic().publish_metrics(*reg, "phy.wlan");
-    }
-    record_client_obs(result);
-    record_kernel_obs(sim);
-    return result;
 }
 
 ScenarioResult sim_wlan_psm(const StreamConfig& config, const PsmConfig& options) {
@@ -215,7 +111,7 @@ ScenarioResult sim_wlan_psm(const StreamConfig& config, const PsmConfig& options
     result.label = "wlan-psm";
     if (injector) result.faults_injected = injector->injected_total();
     for (std::size_t i = 0; i < stations.size(); ++i) {
-        result.clients.push_back(make_metrics(stations[i]->average_power(),
+        result.clients.push_back(make_client_metrics(stations[i]->average_power(),
                                               stations[i]->energy_consumed(), *playouts[i],
                                               stations[i]->bytes_received()));
     }
@@ -267,7 +163,7 @@ ScenarioResult sim_ecmac(const StreamConfig& config, Time superframe) {
     ScenarioResult result;
     result.label = "ec-mac";
     for (std::size_t i = 0; i < stations.size(); ++i) {
-        result.clients.push_back(make_metrics(stations[i]->average_power(),
+        result.clients.push_back(make_client_metrics(stations[i]->average_power(),
                                               stations[i]->energy_consumed(), *playouts[i],
                                               stations[i]->bytes_received()));
     }
@@ -316,7 +212,7 @@ ScenarioResult sim_bt_active(const StreamConfig& config) {
     ScenarioResult result;
     result.label = "bt-active";
     for (std::size_t i = 0; i < slaves.size(); ++i) {
-        result.clients.push_back(make_metrics(slaves[i]->average_power(),
+        result.clients.push_back(make_client_metrics(slaves[i]->average_power(),
                                               slaves[i]->energy_consumed(), *playouts[i],
                                               slaves[i]->bytes_received()));
     }
@@ -541,7 +437,7 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
     ScenarioResult result;
     result.label = "hotspot-" + options.scheduler;
     for (auto& c : clients) {
-        result.clients.push_back(make_metrics(c->wnic_average_power(), c->wnic_energy(),
+        result.clients.push_back(make_client_metrics(c->wnic_average_power(), c->wnic_energy(),
                                               c->playout(), c->bytes_received()));
     }
     result.recovery = server.recovery_report();
@@ -685,7 +581,7 @@ ScenarioResult sim_hotspot_mixed(const StreamConfig& config, const HotspotConfig
     result.label = "hotspot-mixed-" + options.scheduler;
     std::size_t source_index = 0;
     for (std::size_t i = 0; i < clients.size(); ++i) {
-        ClientMetrics m = make_metrics(clients[i]->wnic_average_power(),
+        ClientMetrics m = make_client_metrics(clients[i]->wnic_average_power(),
                                        clients[i]->wnic_energy(), clients[i]->playout(),
                                        clients[i]->bytes_received());
         if (kinds[i] != Kind::mp3) {
@@ -711,11 +607,11 @@ ScenarioResult sim_hotspot_mixed(const StreamConfig& config, const HotspotConfig
     return result;
 }
 
-/// Event-driven power policies (micro_nap, pamas): one PolicyBssWorld on a
-/// single-queue Simulator, with the same fault-injector surface as the psm
-/// scenario plus the phy hooks (μNap interacts with radio wedges directly).
+/// Policy-station power policies (cam, micro_nap, pamas): one
+/// PolicyBssWorld on a single-queue Simulator, binding the phy, beacon and
+/// link fault hooks (ScenarioSpec::validate whitelists each kind's subset).
 ScenarioResult sim_policy_bss(const StreamConfig& config,
-                              const policy::PowerPolicyConfig& power) {
+                              const policy::PowerPolicyConfig& power, std::string label) {
     WLANPS_REQUIRE(config.clients >= 1);
     sim::Simulator sim;
     sim::Random root(config.seed);  // world forks 100/200+i/300+i; injector 900
@@ -775,11 +671,11 @@ ScenarioResult sim_policy_bss(const StreamConfig& config,
     world.settle();
 
     ScenarioResult result;
-    result.label = power.kind == policy::PolicyKind::micro_nap ? "micro-nap" : "pamas";
+    result.label = std::move(label);
     if (injector) result.faults_injected = injector->injected_total();
     for (int i = 0; i < config.clients; ++i) {
         policy::PolicyStation& st = world.station(i);
-        result.clients.push_back(make_metrics(st.average_power(), st.energy_consumed(),
+        result.clients.push_back(make_client_metrics(st.average_power(), st.energy_consumed(),
                                               world.playout(i), st.bytes_received()));
     }
     if (obs::MetricsRegistry* reg = obs::current()) {
@@ -797,14 +693,14 @@ ScenarioResult sim_policy_bss(const StreamConfig& config,
 ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) const {
     StreamConfig config = spec.stream();
     config.seed = seed;
-    if (spec.policy() == Policy::cam && spec.has_power_policy()) {
-        // Pluggable power policies: the adapter kinds reroute to the
-        // matching pre-existing scenario so one spec axis sweeps them all;
-        // the event-driven kinds build a PolicyBssWorld.
-        const policy::PowerPolicyConfig& power = spec.power_policy_config();
+    if (spec.policy() == Policy::cam) {
+        // Pluggable power policies (plain cam is the cam kind): the adapter
+        // kinds reroute to their MAC station builders so one spec axis
+        // sweeps them all; the rest build a PolicyBssWorld.
+        const policy::PowerPolicyConfig power =
+            spec.has_power_policy() ? spec.power_policy_config()
+                                    : policy::PowerPolicyConfig::of(policy::PolicyKind::cam);
         switch (power.kind) {
-            case policy::PolicyKind::cam:
-                return sim_wlan_cam(config);
             case policy::PolicyKind::psm: {
                 PsmConfig psm;
                 psm.listen_interval = power.psm_listen_interval;
@@ -814,14 +710,15 @@ ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) 
             }
             case policy::PolicyKind::ecmac:
                 return sim_ecmac(config, power.ecmac_superframe);
+            case policy::PolicyKind::cam:
             case policy::PolicyKind::micro_nap:
             case policy::PolicyKind::pamas:
-                return sim_policy_bss(config, power);
+                return sim_policy_bss(config, power, spec.label());
         }
         WLANPS_REQUIRE_MSG(false, "bad power-policy kind");
     }
     switch (spec.policy()) {
-        case Policy::cam: return sim_wlan_cam(config);
+        case Policy::cam: break;  // handled above
         case Policy::psm: return sim_wlan_psm(config, spec.psm_config());
         case Policy::ecmac: return sim_ecmac(config, spec.ecmac_config().superframe);
         case Policy::bt: return sim_bt_active(config);
@@ -842,76 +739,6 @@ ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) 
 }  // namespace wlanps::core
 
 namespace wlanps::core::scenarios {
-
-ScenarioResult run_wlan_cam(const StreamConfig& config) {
-    return SimBackend{}.run(ScenarioSpec::cam().with_stream(config), config.seed);
-}
-
-ScenarioResult run_wlan_psm(const StreamConfig& config, PsmOptions options) {
-    return SimBackend{}.run(ScenarioSpec::psm().with_stream(config).with_psm(options),
-                            config.seed);
-}
-
-ScenarioResult run_ecmac(const StreamConfig& config, Time superframe) {
-    return SimBackend{}.run(ScenarioSpec::ecmac().with_stream(config).with_superframe(superframe),
-                            config.seed);
-}
-
-ScenarioResult run_bt_active(const StreamConfig& config) {
-    return SimBackend{}.run(ScenarioSpec::bt().with_stream(config), config.seed);
-}
-
-ScenarioResult run_hotspot(const StreamConfig& config, HotspotOptions options) {
-    return SimBackend{}.run(
-        ScenarioSpec::hotspot().with_stream(config).with_hotspot(std::move(options)),
-        config.seed);
-}
-
-ScenarioResult run_hotspot_mixed(const StreamConfig& config, HotspotOptions options,
-                                 MixedWorkload mix) {
-    return SimBackend{}.run(ScenarioSpec::hotspot_mixed()
-                                .with_stream(config)
-                                .with_hotspot(std::move(options))
-                                .with_mix(mix),
-                            config.seed);
-}
-
-ScenarioFactory spec_factory(ScenarioSpec spec, std::shared_ptr<const Backend> backend) {
-    if (!backend) backend = std::make_shared<SimBackend>();
-    return [spec = std::move(spec), backend = std::move(backend)](std::uint64_t seed) {
-        return backend->run(spec, seed);
-    };
-}
-
-ScenarioFactory wlan_cam_factory(StreamConfig config) {
-    return spec_factory(ScenarioSpec::cam().with_stream(std::move(config)));
-}
-
-ScenarioFactory wlan_psm_factory(StreamConfig config, core::PsmConfig options) {
-    return spec_factory(ScenarioSpec::psm().with_stream(std::move(config)).with_psm(options));
-}
-
-ScenarioFactory ecmac_factory(StreamConfig config, Time superframe) {
-    return spec_factory(
-        ScenarioSpec::ecmac().with_stream(std::move(config)).with_superframe(superframe));
-}
-
-ScenarioFactory bt_active_factory(StreamConfig config) {
-    return spec_factory(ScenarioSpec::bt().with_stream(std::move(config)));
-}
-
-ScenarioFactory hotspot_factory(StreamConfig config, core::HotspotConfig options) {
-    return spec_factory(
-        ScenarioSpec::hotspot().with_stream(std::move(config)).with_hotspot(std::move(options)));
-}
-
-ScenarioFactory hotspot_mixed_factory(StreamConfig config, core::HotspotConfig options,
-                                      MixedWorkload mix) {
-    return spec_factory(ScenarioSpec::hotspot_mixed()
-                            .with_stream(std::move(config))
-                            .with_hotspot(std::move(options))
-                            .with_mix(mix));
-}
 
 exp::Metrics to_metrics(const ScenarioResult& result) {
     exp::Metrics metrics;
@@ -978,13 +805,16 @@ exp::RunFn fault_grid_run(StreamConfig config, core::HotspotConfig options,
     WLANPS_REQUIRE_MSG(!plans.empty(), "fault grid needs at least one plan");
     auto spec = ScenarioSpec::hotspot().with_stream(std::move(config)).with_hotspot(
         std::move(options));
+    // The runner calls this from several worker threads at once, so each
+    // call plans its own copy of the spec.
     return [spec = std::move(spec), plans = std::move(plans)](const exp::ParamPoint& point,
-                                                              std::uint64_t seed) mutable {
+                                                              std::uint64_t seed) {
         WLANPS_REQUIRE_MSG(point.index < plans.size(),
                            "grid point " + std::to_string(point.index) + " has no fault plan (" +
                                std::to_string(plans.size()) + " provided)");
-        spec.with_fault_plan(plans[point.index]);
-        return to_recovery_metrics(SimBackend{}.run(spec, seed));
+        ScenarioSpec cell = spec;
+        cell.with_fault_plan(plans[point.index]);
+        return to_recovery_metrics(SimBackend{}.run(cell, seed));
     };
 }
 

@@ -40,6 +40,9 @@ void PowerPolicyConfig::validate() const {
     if (!uplink_period.is_zero()) {
         WLANPS_REQUIRE_MSG(uplink_size > DataSize::from_bytes(0),
                            "uplink_size must be positive when uplink is enabled");
+        WLANPS_REQUIRE_MSG(kind != PolicyKind::psm && kind != PolicyKind::ecmac,
+                           std::string("uplink is not modeled by the '") + to_string(kind) +
+                               "' adapter — only cam, micro_nap and pamas send uplink");
     }
     switch (kind) {
         case PolicyKind::psm:
@@ -66,14 +69,15 @@ void PowerPolicyConfig::validate() const {
 
 std::unique_ptr<PowerPolicy> make_power_policy(const PowerPolicyConfig& config) {
     switch (config.kind) {
+        case PolicyKind::cam:
+            return std::make_unique<CamPolicy>();
         case PolicyKind::micro_nap:
             return std::make_unique<MicroNapPolicy>(config.micro_nap);
         case PolicyKind::pamas:
             return std::make_unique<PamasPolicy>(config.pamas);
-        case PolicyKind::cam:
         case PolicyKind::psm:
         case PolicyKind::ecmac:
-            return nullptr;  // adapter kinds run the pre-existing builders
+            return nullptr;  // adapter kinds run their MAC station builders
     }
     return nullptr;
 }

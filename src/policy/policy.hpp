@@ -3,9 +3,10 @@
 /// Power-policy selection: the config every scenario carries to pick and
 /// parameterize a power-saving policy (core::ScenarioSpec::with_power_policy).
 ///
-/// Five kinds are selectable: the two new policies (micro_nap, pamas) and
-/// three adapters wrapping the pre-existing behaviors (cam, psm, ecmac) so
-/// a single `--policy=<name>` axis sweeps everything the repo can do.
+/// Five kinds are selectable.  Three run on the policy station
+/// (PolicyBssWorld): cam, micro_nap and pamas.  Two are adapters onto the
+/// MAC's own station builders: psm (TIM beacons + PS-Polls) and ecmac.  A
+/// single `--policy=<name>` axis sweeps everything the repo can do.
 
 #include <memory>
 #include <string>
@@ -17,6 +18,13 @@
 #include "policy/power_policy.hpp"
 
 namespace wlanps::policy {
+
+/// Constantly awake mode: the radio idle-listens between frames and no
+/// hook ever puts it to sleep.
+class CamPolicy final : public PowerPolicy {
+public:
+    [[nodiscard]] std::string_view name() const override { return "cam"; }
+};
 
 /// Selectable power-saving policy.
 enum class PolicyKind : std::uint8_t { cam, psm, ecmac, micro_nap, pamas };
@@ -47,7 +55,8 @@ struct PowerPolicyConfig {
     // --- optional uplink workload --------------------------------------
     /// When positive, each station also sends a small uplink frame every
     /// period — this exercises the DCF backoff path (and μNap's backoff
-    /// naps) on otherwise downlink-only streaming scenarios.
+    /// naps) on otherwise downlink-only streaming scenarios.  Only the
+    /// policy-station kinds (cam, micro_nap, pamas) run it.
     Time uplink_period = Time::zero();
     DataSize uplink_size = DataSize::from_bytes(200);
 
@@ -79,9 +88,9 @@ struct PowerPolicyConfig {
     void validate() const;
 };
 
-/// Instantiate the policy object for \p config.  Only the event-driven
-/// kinds (micro_nap, pamas) have policy objects; the adapter kinds run
-/// through the pre-existing scenario builders and return nullptr here.
+/// Instantiate the policy object for \p config.  The policy-station kinds
+/// (cam, micro_nap, pamas) have policy objects; the adapter kinds (psm,
+/// ecmac) run through their MAC station builders and return nullptr here.
 [[nodiscard]] std::unique_ptr<PowerPolicy> make_power_policy(const PowerPolicyConfig& config);
 
 }  // namespace wlanps::policy

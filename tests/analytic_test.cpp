@@ -302,6 +302,16 @@ TEST(AnalyticBackendTest, RejectsEventDrivenPowerPoliciesByName) {
     }
 }
 
+TEST(AnalyticBackendTest, RejectsCamUplinkInsteadOfDroppingIt) {
+    const auto spec = core::ScenarioSpec::cam()
+                          .with_stream(stream(2, 60))
+                          .with_power_policy(policy::PowerPolicyConfig::of(policy::PolicyKind::cam)
+                                                 .with_uplink(Time::from_ms(200),
+                                                              DataSize::from_bytes(200)));
+    EXPECT_NE(analytic.unsupported_reason(spec).find("sim backend"), std::string::npos);
+    EXPECT_THROW((void)analytic.run(spec), ContractViolation);
+}
+
 TEST(AnalyticBackendTest, AdapterPowerPoliciesMapOntoClosedForms) {
     for (const auto kind : {policy::PolicyKind::cam, policy::PolicyKind::psm}) {
         const auto spec = core::ScenarioSpec::cam()

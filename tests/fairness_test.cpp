@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -30,6 +31,8 @@ TEST(FairnessTest, SaturatedDcfSharesAirtimeEvenly) {
     const int n = 4;
     std::vector<std::unique_ptr<WlanStation>> stations;
     std::vector<std::int64_t> delivered(n, 0);
+    // Owners of the resend loops; each loop holds only a weak_ptr to itself.
+    std::vector<std::shared_ptr<std::function<void(bool)>>> loops;
     for (int i = 0; i < n; ++i) {
         StationConfig st;
         st.mode = StationMode::cam;
@@ -38,13 +41,16 @@ TEST(FairnessTest, SaturatedDcfSharesAirtimeEvenly) {
             root.fork(static_cast<std::uint64_t>(10 + i))));
         auto* station = stations.back().get();
         auto again = std::make_shared<std::function<void(bool)>>();
-        *again = [station, &sim, &delivered, i, again](bool ok) {
+        *again = [station, &sim, &delivered, i,
+                  self = std::weak_ptr<std::function<void(bool)>>(again)](bool ok) {
             if (ok) delivered[static_cast<std::size_t>(i)] += 1400;
-            if (sim.now() < Time::from_seconds(10)) {
-                station->send_up(DataSize::from_bytes(1400), *again);
+            auto loop = self.lock();
+            if (loop && sim.now() < Time::from_seconds(10)) {
+                station->send_up(DataSize::from_bytes(1400), *loop);
             }
         };
         station->send_up(DataSize::from_bytes(1400), *again);
+        loops.push_back(std::move(again));
     }
     sim.run_until(Time::from_seconds(10));
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -65,15 +66,18 @@ TEST(UplinkTest, PsmStationWakesSendsAndDozes) {
 TEST(UplinkTest, ContentionAmongUplinkersCausesCollisions) {
     UplinkWorld w(4, DcfConfig{});
     // Everyone saturates: re-send on completion for a while.
+    std::vector<std::shared_ptr<std::function<void(bool)>>> loops;
     for (auto& st : w.stations) {
         auto* station = st.get();
         auto again = std::make_shared<std::function<void(bool)>>();
-        *again = [station, &w, again](bool) {
-            if (w.sim.now() < Time::from_seconds(2)) {
-                station->send_up(DataSize::from_bytes(1400), *again);
+        *again = [station, &w, self = std::weak_ptr<std::function<void(bool)>>(again)](bool) {
+            auto loop = self.lock();
+            if (loop && w.sim.now() < Time::from_seconds(2)) {
+                station->send_up(DataSize::from_bytes(1400), *loop);
             }
         };
         station->send_up(DataSize::from_bytes(1400), *again);
+        loops.push_back(std::move(again));
     }
     w.sim.run_until(Time::from_seconds(2));
     EXPECT_GT(w.bss.medium().collisions(), 0u);
@@ -131,15 +135,19 @@ TEST(RtsCtsTest, ReducesCollisionAirtimeUnderContention) {
         dcf.use_rts_cts = rts;
         dcf.rts_threshold = DataSize::from_bytes(500);
         UplinkWorld w(4, dcf);
+        std::vector<std::shared_ptr<std::function<void(bool)>>> loops;
         for (auto& st : w.stations) {
             auto* station = st.get();
             auto again = std::make_shared<std::function<void(bool)>>();
-            *again = [station, &w, again](bool) {
-                if (w.sim.now() < Time::from_seconds(3)) {
-                    station->send_up(DataSize::from_bytes(1400), *again);
+            *again = [station, &w, self = std::weak_ptr<std::function<void(bool)>>(again)](
+                         bool) {
+                auto loop = self.lock();
+                if (loop && w.sim.now() < Time::from_seconds(3)) {
+                    station->send_up(DataSize::from_bytes(1400), *loop);
                 }
             };
             station->send_up(DataSize::from_bytes(1400), *again);
+            loops.push_back(std::move(again));
         }
         w.sim.run_until(Time::from_seconds(3));
         struct Out {

@@ -1,7 +1,8 @@
 /// Tests for the pluggable power-policy subsystem (src/policy): policy
 /// selection/parsing, μNap break-even math and nav_sleep reallocation,
-/// PAMAS battery-driven stretching, adapter equivalence with the native
-/// scenarios, per-policy fault whitelists, and exact ledger attribution.
+/// PAMAS battery-driven stretching and duty cycling, adapter equivalence
+/// with the native scenarios, uplink support, per-policy fault whitelists,
+/// and exact ledger attribution.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +12,20 @@
 #include "core/backend.hpp"
 #include "core/scenario_spec.hpp"
 #include "fault/fault.hpp"
+#include "mac/access_point.hpp"
+#include "mac/bss.hpp"
 #include "obs/energy_ledger.hpp"
 #include "phy/calibration.hpp"
 #include "phy/wlan_nic.hpp"
 #include "policy/micro_nap.hpp"
 #include "policy/pamas_policy.hpp"
 #include "policy/policy.hpp"
+#include "policy/station.hpp"
 #include "policy/world.hpp"
 #include "sim/assert.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "traffic/source.hpp"
 
 namespace wlanps {
 namespace {
@@ -257,6 +263,120 @@ TEST(PamasTest, WorldDrainsBatteryWhileDutyCycling) {
     EXPECT_LT(station.average_power().watts(), cal::kWlanIdle.watts());
 }
 
+// --- PAMAS station: duty cycling against a buffering AP ------------------
+
+policy::PowerPolicyConfig pamas_with_battery(power::Energy capacity) {
+    auto config = policy::PowerPolicyConfig::of(policy::PolicyKind::pamas);
+    config.pamas.battery.capacity = capacity;
+    config.pamas.battery.rate_exponent = 0.0;
+    return config;
+}
+
+mac::AccessPointConfig ap_in(mac::ApMode mode) {
+    mac::AccessPointConfig c;
+    c.mode = mode;
+    return c;
+}
+
+/// One started PAMAS station behind a PSM-mode AP; the test feeds the AP.
+struct PamasRig {
+    sim::Simulator sim;
+    sim::Random root{5};
+    mac::Bss bss{sim};
+    policy::PowerPolicyConfig config;
+    mac::AccessPoint ap;
+    policy::PamasPolicy pamas;
+    policy::PolicyStation station;
+
+    explicit PamasRig(power::Energy capacity = power::Energy::from_joules(200.0))
+        : config(pamas_with_battery(capacity)),
+          ap(sim, bss, ap_in(mac::ApMode::psm), mac::DcfConfig{}, root.fork(1)),
+          pamas(config.pamas),
+          station(sim, bss, ap, 1, pamas, config, mac::DcfConfig{}, phy::WlanNicConfig{},
+                  root.fork(6)) {
+        ap.start();
+        station.start();
+    }
+
+    /// Poisson downlink of \p size frames at \p rate into the AP's buffer.
+    traffic::PoissonSource feed(DataSize size, Rate rate, std::uint64_t fork,
+                                DataSize* sent = nullptr) {
+        return traffic::PoissonSource(
+            sim,
+            [this, sent](DataSize s) {
+                if (sent != nullptr) *sent += s;
+                ap.send(1, s);
+            },
+            size, rate, root.fork(fork));
+    }
+};
+
+TEST(PamasDutyCycleTest, RequiresBufferingAp) {
+    sim::Simulator sim;
+    mac::Bss bss(sim);
+    mac::AccessPoint ap(sim, bss, ap_in(mac::ApMode::cam), mac::DcfConfig{},
+                        sim::Random(5).fork(1));
+    const auto config = policy::PowerPolicyConfig::of(policy::PolicyKind::pamas);
+    policy::PamasPolicy pamas(config.pamas);
+    EXPECT_THROW(policy::PolicyStation(sim, bss, ap, 1, pamas, config, mac::DcfConfig{},
+                                       phy::WlanNicConfig{}, sim::Random(6)),
+                 ContractViolation);
+}
+
+TEST(PamasDutyCycleTest, ReceivesBufferedTraffic) {
+    PamasRig rig;
+    DataSize sent;
+    auto src = rig.feed(DataSize::from_bytes(1000), Rate::from_kbps(64), 2, &sent);
+    src.start();
+    rig.sim.run_until(Time::from_seconds(30));
+    src.stop();
+    rig.sim.run_until(Time::from_seconds(32));
+    EXPECT_GT(sent.bytes(), 0);
+    // Nearly all bytes must arrive (buffered, then flushed on wake; the
+    // flush aggregates several MSDUs per MPDU, so compare bytes).
+    EXPECT_GE(rig.station.bytes_received().bytes(), sent.bytes() * 9 / 10);
+}
+
+TEST(PamasDutyCycleTest, SleepsWhenIdle) {
+    PamasRig rig;
+    rig.sim.run_until(Time::from_seconds(20));
+    // No traffic at all: the radio stays in doze, power ~ doze level.
+    EXPECT_LT(rig.station.average_power().watts(), 0.06);
+}
+
+TEST(PamasDutyCycleTest, PeriodStretchesAsBatteryDrains) {
+    PamasRig rig(power::Energy::from_joules(20.0));  // small battery
+    auto src = rig.feed(DataSize::from_bytes(1400), Rate::from_kbps(128), 3);
+    src.start();
+    const Time initial_period = rig.pamas.sleep_quantum();
+    rig.sim.run_until(Time::from_seconds(120));
+    // Below the table's first threshold row (0.75), the period stretches.
+    EXPECT_LT(rig.station.battery()->level(), 0.75);
+    EXPECT_GT(rig.pamas.sleep_quantum(), initial_period);
+}
+
+TEST(PamasDutyCycleTest, DeadBatteryStopsTheRadio) {
+    PamasRig rig(power::Energy::from_joules(3.0));  // dies almost immediately
+    auto src = rig.feed(DataSize::from_bytes(1400), Rate::from_kbps(256), 3);
+    src.start();
+    rig.sim.run_until(Time::from_seconds(300));
+    EXPECT_TRUE(rig.station.battery()->empty());
+    EXPECT_EQ(rig.station.wlan_nic().state(), phy::WlanNic::State::off);
+    // Frames stop flowing once dead: the buffer grows at the AP.
+    EXPECT_GT(rig.ap.buffered(1), 100u);
+}
+
+TEST(PamasDutyCycleTest, LatencyReflectsSleepCycle) {
+    PamasRig rig;
+    auto src = rig.feed(DataSize::from_bytes(1000), Rate::from_kbps(32), 4);
+    src.start();
+    rig.sim.run_until(Time::from_seconds(60));
+    ASSERT_GT(rig.station.delivery_latency().count(), 10u);
+    // Mean latency is of the order of half the base cycle period (250 ms).
+    EXPECT_GT(rig.station.delivery_latency().mean(), 0.05);
+    EXPECT_LT(rig.station.delivery_latency().mean(), 1.0);
+}
+
 // --- adapters match the native scenarios --------------------------------
 
 TEST(PolicyAdapterTest, PsmAdapterIsBitIdenticalToNativePsm) {
@@ -291,6 +411,39 @@ TEST(PolicyAdapterTest, CamAdapterIsBitIdenticalToPlainCam) {
     for (std::size_t i = 0; i < native.clients.size(); ++i) {
         EXPECT_DOUBLE_EQ(adapted.clients[i].wnic_energy.joules(),
                          native.clients[i].wnic_energy.joules());
+    }
+}
+
+// --- uplink runs on the policy station only -----------------------------
+
+TEST(PolicyUplinkTest, AdapterKindsRejectUplinkNamingTheKindsThatSupportIt) {
+    for (const auto kind : {policy::PolicyKind::psm, policy::PolicyKind::ecmac}) {
+        const auto power = policy::PowerPolicyConfig::of(kind).with_uplink(
+            Time::from_ms(200), DataSize::from_bytes(200));
+        try {
+            power.validate();
+            FAIL() << "expected ContractViolation for " << policy::to_string(kind);
+        } catch (const ContractViolation& e) {
+            EXPECT_NE(std::string(e.what()).find("cam, micro_nap and pamas"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW(policy_spec(power).validate(), ContractViolation);
+    }
+}
+
+TEST(PolicyUplinkTest, CamUplinkSpendsMoreWnicEnergy) {
+    const auto plain =
+        backend.run(policy_spec(policy::PowerPolicyConfig::of(policy::PolicyKind::cam)), 42);
+    const auto uplink = backend.run(
+        policy_spec(policy::PowerPolicyConfig::of(policy::PolicyKind::cam)
+                        .with_uplink(Time::from_ms(200), DataSize::from_bytes(200))),
+        42);
+    ASSERT_EQ(uplink.clients.size(), plain.clients.size());
+    for (std::size_t i = 0; i < plain.clients.size(); ++i) {
+        EXPECT_GT(uplink.clients[i].wnic_energy.joules(), plain.clients[i].wnic_energy.joules())
+            << "client " << i + 1;
+        EXPECT_DOUBLE_EQ(uplink.clients[i].qos, 1.0);
     }
 }
 
@@ -363,6 +516,32 @@ TEST(PolicyFaultTest, WhitelistsFollowEachPolicysDependencies) {
                      .with_fault_plan(corrupt)
                      .validate(),
                  ContractViolation);
+}
+
+TEST(PolicyFaultTest, NativePsmRejectsUnboundKindsLikeTheAdapter) {
+    // The psm station build binds no phy hooks: both spellings of psm must
+    // refuse a nic_lockup plan at validate(), not later inside arm().
+    fault::FaultPlan lockup;
+    lockup.nic_lockup(Time::from_seconds(1), Time::from_seconds(2));
+    for (const auto& spec :
+         {core::ScenarioSpec::psm().with_clients(2).with_fault_plan(lockup),
+          policy_spec(policy::PowerPolicyConfig::of(policy::PolicyKind::psm))
+              .with_fault_plan(lockup)}) {
+        try {
+            spec.validate();
+            FAIL() << "expected ContractViolation";
+        } catch (const ContractViolation& e) {
+            EXPECT_NE(std::string(e.what()).find("cannot inject 'nic-lockup'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // The kinds the psm world does bind still pass.
+    fault::FaultPlan mac_faults;
+    mac_faults.beacon_loss(Time::from_seconds(1), Time::from_seconds(2))
+        .poll_drop(Time::from_seconds(4), Time::from_seconds(2), 0.5);
+    EXPECT_NO_THROW(core::ScenarioSpec::psm().with_fault_plan(mac_faults).validate());
 }
 
 TEST(PolicyFaultTest, FaultedMicroNapRunInjectsAndKeepsStreaming) {
