@@ -91,7 +91,9 @@ int main() {
 
     std::printf("\nAcross 4 seeds (mean +/- sd):\n");
     for (std::size_t i = 0; i < n_clients; ++i) {
-        const std::string prefix = "c" + std::to_string(i + 1) + ".";
+        std::string prefix = "c";
+        prefix += std::to_string(i + 1);
+        prefix += '.';
         const auto& wnic = sweep.aggregate.metric(0, prefix + "wnic_w");
         const auto& qos = sweep.aggregate.metric(0, prefix + "qos");
         std::printf("  C%zu %-6s WNIC %7.1f +/- %4.1f mW   QoS %6.2f%% +/- %.2f\n", i + 1,

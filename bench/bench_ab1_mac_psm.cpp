@@ -97,22 +97,26 @@ int main() {
     const auto cam = backend.run(core::ScenarioSpec::cam().with_stream(config));
     row("cam (always listening)", cam.mean_wnic(), cam.min_qos(), "baseline");
 
+    const auto psm = [&](int listen_interval, int aggregate_limit) {
+        return backend.run(core::ScenarioSpec::cam().with_stream(config).with_power_policy(
+            policy::PowerPolicyConfig::of(policy::PolicyKind::psm)
+                .with_psm(listen_interval, aggregate_limit)));
+    };
     for (const int listen : {1, 2, 5}) {
-        core::PsmConfig p;
-        p.listen_interval = listen;
-        const auto r = backend.run(core::ScenarioSpec::psm().with_stream(config).with_psm(p));
+        const auto r = psm(listen, 1);
         row("psm, listen-interval " + std::to_string(listen), r.mean_wnic(), r.min_qos(),
             "wake every " + std::to_string(listen) + " beacon(s)");
     }
     {
-        core::PsmConfig p;
-        p.aggregate_limit = 8;
-        const auto r = backend.run(core::ScenarioSpec::psm().with_stream(config).with_psm(p));
+        const auto r = psm(1, 8);
         row("psm + aggregation (8 MSDUs)", r.mean_wnic(), r.min_qos(),
             "fewer polls, longer doze");
     }
     for (const int sf_ms : {100, 250}) {
-        const auto r = backend.run(core::ScenarioSpec::ecmac().with_stream(config).with_superframe(Time::from_ms(sf_ms)));
+        auto ecmac = policy::PowerPolicyConfig::of(policy::PolicyKind::ecmac);
+        ecmac.ecmac_superframe = Time::from_ms(sf_ms);
+        const auto r =
+            backend.run(core::ScenarioSpec::cam().with_stream(config).with_power_policy(ecmac));
         row("ec-mac, superframe " + std::to_string(sf_ms) + " ms", r.mean_wnic(), r.min_qos(),
             "collision-free schedule");
     }

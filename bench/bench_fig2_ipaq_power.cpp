@@ -67,8 +67,11 @@ int main() {
                 for (core::BurstChannel* ch : clients[i]->channels()) {
                     auto trace = std::make_unique<sim::TimelineTrace>();
                     ch->wnic().attach_trace(trace.get());
-                    lane_names.push_back("C" + std::to_string(i + 1) + " " +
-                                         ch->wnic().name());
+                    std::string lane = "C";
+                    lane += std::to_string(i + 1);
+                    lane += ' ';
+                    lane += ch->wnic().name();
+                    lane_names.push_back(std::move(lane));
                     lanes.push_back(std::move(trace));
                 }
             }

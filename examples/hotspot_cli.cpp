@@ -433,8 +433,11 @@ int main(int argc, char** argv) {
                     for (core::BurstChannel* ch : clients[i]->channels()) {
                         auto trace = std::make_unique<sim::TimelineTrace>();
                         ch->wnic().attach_trace(trace.get());
-                        lane_names.push_back("C" + std::to_string(i + 1) + " " +
-                                             ch->wnic().name());
+                        std::string lane = "C";
+                        lane += std::to_string(i + 1);
+                        lane += ' ';
+                        lane += ch->wnic().name();
+                        lane_names.push_back(std::move(lane));
                         lanes.push_back(std::move(trace));
                     }
                 }
@@ -451,10 +454,11 @@ int main(int argc, char** argv) {
                 });
                 for (std::size_t i = 0; i < clients.size(); ++i) {
                     core::HotspotClient* c = clients[i];
-                    sampler->add_track("C" + std::to_string(i + 1) + " energy J",
+                    std::string client = "C";
+                    client += std::to_string(i + 1);
+                    sampler->add_track(client + " energy J",
                                        [c] { return c->wnic_energy().joules(); });
-                    sampler->add_track("C" + std::to_string(i + 1) + " battery",
-                                       [c] { return c->battery_level(); });
+                    sampler->add_track(client + " battery", [c] { return c->battery_level(); });
                 }
                 // The sampler tick doubles as the watchdog sweep driver.
                 sim::Simulator* sp = &s;

@@ -16,9 +16,6 @@ using core::ScenarioSpec;
 
 std::string AnalyticBackend::unsupported_reason(const ScenarioSpec& spec) const {
     switch (spec.policy()) {
-        case Policy::ecmac:
-            return "the EC-MAC superframe schedule is event-driven and has no "
-                   "closed-form model — run ecmac scenarios on the sim backend";
         case Policy::hotspot_mixed:
             return "heterogeneous mixed workloads (video/web admission, per-class "
                    "QoS) have no closed-form model — run hotspot_mixed scenarios "
@@ -39,7 +36,7 @@ std::string AnalyticBackend::unsupported_reason(const ScenarioSpec& spec) const 
                 }
                 break;
             case policy::PolicyKind::psm:
-                break;  // cam and psm map onto their closed forms
+                break;  // cam and psm have closed forms
             case policy::PolicyKind::ecmac:
                 return "the EC-MAC superframe schedule is event-driven and has no "
                        "closed-form model — run the ecmac power policy on the sim "
@@ -86,41 +83,21 @@ ScenarioResult AnalyticBackend::do_run(const ScenarioSpec& spec, std::uint64_t s
     const auto& stream = spec.stream();
 
     power::Power wnic;
-    if (spec.policy() == Policy::cam && spec.has_power_policy() &&
-        spec.power_policy_config().kind == policy::PolicyKind::psm) {
-        // psm adapter: same closed form as the native psm policy.
-        const auto& power = spec.power_policy_config();
-        PsmModelParams params;
-        params.stations = stream.clients;
-        params.listen_interval = power.psm_listen_interval;
-        params.aggregate_limit = power.psm_aggregate_limit;
-        params.beacon_interval = power.beacon_interval;
-        wnic = psm_station_power(params, stream.wlan_nic, stream.wlan_link);
-        ClientMetrics m;
-        m.wnic_average = wnic;
-        m.wnic_energy = wnic.over(stream.duration);
-        m.device_average = wnic + cal::kIpaqBase;
-        m.qos = 1.0;
-        m.underruns = 0;
-        m.received = cal::kMp3Rate.data_in(stream.duration);
-        ScenarioResult result;
-        result.label = spec.label();
-        result.clients.assign(static_cast<std::size_t>(spec.clients()), m);
-        return result;
-    }
     switch (spec.policy()) {
         case Policy::cam:
-            wnic = cam_station_power(stream.wlan_nic, stream.wlan_link);
+            if (spec.has_power_policy() &&
+                spec.power_policy_config().kind == policy::PolicyKind::psm) {
+                const auto& power = spec.power_policy_config();
+                PsmModelParams params;
+                params.stations = stream.clients;
+                params.listen_interval = power.psm_listen_interval;
+                params.aggregate_limit = power.psm_aggregate_limit;
+                params.beacon_interval = power.beacon_interval;
+                wnic = psm_station_power(params, stream.wlan_nic, stream.wlan_link);
+            } else {
+                wnic = cam_station_power(stream.wlan_nic, stream.wlan_link);
+            }
             break;
-        case Policy::psm: {
-            PsmModelParams params;
-            params.stations = stream.clients;
-            params.listen_interval = spec.psm_config().listen_interval;
-            params.aggregate_limit = spec.psm_config().aggregate_limit;
-            params.beacon_interval = spec.psm_config().beacon_interval;
-            wnic = psm_station_power(params, stream.wlan_nic, stream.wlan_link);
-            break;
-        }
         case Policy::bt:
             wnic = bt_active_power(stream.bt_nic, stream.bt_link);
             break;
@@ -136,7 +113,6 @@ ScenarioResult AnalyticBackend::do_run(const ScenarioSpec& spec, std::uint64_t s
                                         stream.wlan_link, stream.bt_link);
             break;
         }
-        case Policy::ecmac:
         case Policy::hotspot_mixed:
         case Policy::federation:
             WLANPS_REQUIRE_MSG(false, "unsupported policy reached AnalyticBackend::do_run");

@@ -9,7 +9,7 @@ namespace wlanps::core {
 
 namespace {
 
-/// Shortest decimal representation ("3", "0.9", "102.4") for describe().
+/// Shortest decimal representation ("3", "0.9", "102.4") for messages.
 std::string fmt(double v) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%g", v);
@@ -23,8 +23,9 @@ bool known_scheduler(const std::string& name) {
                        [&](const char* n) { return name == n; });
 }
 
-/// Per-kind fault whitelist: each WLAN station build routes a different
-/// subset of the injector hooks, so reject the rest before arm() would.
+/// Per-power-policy fault whitelist: each WLAN station build routes a
+/// different subset of the injector hooks, so reject the rest before arm()
+/// would.
 void check_fault_hooks(const std::string& label, policy::PolicyKind kind,
                        const policy::PowerPolicyConfig& power, const fault::FaultPlan& plan) {
     for (const auto& f : plan.specs()) {
@@ -49,7 +50,7 @@ void check_fault_hooks(const std::string& label, policy::PolicyKind kind,
                 break;
             case policy::PolicyKind::ecmac:
                 supported = false;
-                hint = "the ec-mac adapter routes no fault hooks — drop the "
+                hint = "ec-mac stations route no fault hooks — drop the "
                        "plan or pick another policy";
                 break;
             case policy::PolicyKind::micro_nap:
@@ -107,22 +108,6 @@ double ScenarioResult::min_qos() const {
     double q = 1.0;
     for (const ClientMetrics& c : clients) q = std::min(q, c.qos);
     return q;
-}
-
-void PsmConfig::validate() const {
-    WLANPS_REQUIRE_MSG(listen_interval >= 1,
-                       "PsmConfig.listen_interval must be >= 1 (got " +
-                           std::to_string(listen_interval) + ")");
-    WLANPS_REQUIRE_MSG(aggregate_limit >= 1,
-                       "PsmConfig.aggregate_limit must be >= 1 (got " +
-                           std::to_string(aggregate_limit) + ")");
-    WLANPS_REQUIRE_MSG(beacon_interval > Time::zero(),
-                       "PsmConfig.beacon_interval must be positive");
-}
-
-void EcmacConfig::validate() const {
-    WLANPS_REQUIRE_MSG(superframe > Time::zero(),
-                       "EcmacConfig.superframe must be positive");
 }
 
 void ShardingConfig::validate() const {
@@ -281,36 +266,6 @@ void MixedWorkload::validate() const {
                                          std::to_string(total()) + ")");
 }
 
-std::string_view to_string(Policy policy) {
-    switch (policy) {
-        case Policy::cam: return "cam";
-        case Policy::psm: return "psm";
-        case Policy::ecmac: return "ecmac";
-        case Policy::bt: return "bt";
-        case Policy::hotspot: return "hotspot";
-        case Policy::hotspot_mixed: return "hotspot-mixed";
-        case Policy::federation: return "federation";
-    }
-    WLANPS_REQUIRE_MSG(false, "bad policy");
-    return "";
-}
-
-Policy parse_policy(std::string_view name) {
-    if (name == "cam" || name == "wlan-cam") return Policy::cam;
-    if (name == "psm" || name == "wlan-psm") return Policy::psm;
-    if (name == "ecmac" || name == "ec-mac") return Policy::ecmac;
-    if (name == "bt" || name == "bt-active") return Policy::bt;
-    if (name == "hotspot") return Policy::hotspot;
-    if (name == "hotspot-mixed" || name == "hotspot_mixed" || name == "mixed") {
-        return Policy::hotspot_mixed;
-    }
-    if (name == "federation" || name == "fed") return Policy::federation;
-    WLANPS_REQUIRE_MSG(false, "unknown policy '" + std::string(name) +
-                                  "' (cam, psm, ecmac, bt, hotspot, hotspot-mixed, "
-                                  "federation)");
-    return Policy::cam;  // unreachable
-}
-
 std::string ScenarioSpec::label() const {
     switch (policy_) {
         case Policy::cam:
@@ -324,8 +279,6 @@ std::string ScenarioSpec::label() const {
                 }
             }
             return "wlan-cam";
-        case Policy::psm: return "wlan-psm";
-        case Policy::ecmac: return "ec-mac";
         case Policy::bt: return "bt-active";
         case Policy::hotspot:
             return (hotspot_.sharding.enabled() ? "hotspot-sharded-" : "hotspot-") +
@@ -335,95 +288,6 @@ std::string ScenarioSpec::label() const {
             return "federation-" + std::string(to_string(fed_.admission));
     }
     return "?";
-}
-
-std::string ScenarioSpec::describe() const {
-    std::string out = "policy=";
-    out += to_string(policy_);
-    out += " clients=" + std::to_string(clients());
-    out += " duration_s=" + fmt(stream_.duration.to_seconds());
-    if (!stream_.fault_plan.empty()) {
-        out += " faults=" + std::to_string(stream_.fault_plan.size());
-    }
-    switch (policy_) {
-        case Policy::cam:
-            if (power_set_) {
-                out += " power_policy=" + std::string(policy::to_string(power_.kind));
-                out += " beacon_ms=" + fmt(power_.beacon_interval.to_seconds() * 1e3);
-                switch (power_.kind) {
-                    case policy::PolicyKind::cam:
-                        break;
-                    case policy::PolicyKind::psm:
-                        out += " listen_interval=" + std::to_string(power_.psm_listen_interval);
-                        out += " aggregate_limit=" + std::to_string(power_.psm_aggregate_limit);
-                        break;
-                    case policy::PolicyKind::ecmac:
-                        out += " superframe_ms=" +
-                               fmt(power_.ecmac_superframe.to_seconds() * 1e3);
-                        break;
-                    case policy::PolicyKind::micro_nap:
-                        out += " nap_guard_us=" +
-                               fmt(power_.micro_nap.guard.to_seconds() * 1e6);
-                        break;
-                    case policy::PolicyKind::pamas:
-                        out += " pamas_base_ms=" +
-                               fmt(power_.pamas.base_period.to_seconds() * 1e3);
-                        break;
-                }
-                if (power_.uplink_period > Time::zero()) {
-                    out += " uplink_ms=" + fmt(power_.uplink_period.to_seconds() * 1e3);
-                }
-            }
-            break;
-        case Policy::bt:
-            break;
-        case Policy::psm:
-            out += " listen_interval=" + std::to_string(psm_.listen_interval);
-            out += " aggregate_limit=" + std::to_string(psm_.aggregate_limit);
-            out += " beacon_ms=" + fmt(psm_.beacon_interval.to_seconds() * 1e3);
-            break;
-        case Policy::ecmac:
-            out += " superframe_ms=" + fmt(ecmac_.superframe.to_seconds() * 1e3);
-            break;
-        case Policy::federation:
-            out += " aps=" + std::to_string(fed_.aps);
-            out += " shards=" + std::to_string(fed_.shards);
-            out += " sim_threads=" + std::to_string(fed_.threads);
-            if (fed_.lax) out += " sync=lax";
-            out += " admission=" + std::string(to_string(fed_.admission));
-            out += " capacity=" + std::to_string(fed_.capacity_per_ap);
-            if (fed_.roaming) out += " dwell_s=" + fmt(fed_.mean_dwell.to_seconds());
-            if (fed_.base_arrival_hz > 0.0) {
-                out += " arrival_hz=" + fmt(fed_.base_arrival_hz);
-            }
-            if (fed_.flash_arrival_hz > 0.0) {
-                out += " flash_hz=" + fmt(fed_.flash_arrival_hz);
-                out += " flash_s=" + fmt(fed_.flash_start.to_seconds()) + "+" +
-                       fmt(fed_.flash_duration.to_seconds());
-            }
-            break;
-        case Policy::hotspot_mixed:
-            out += " mp3=" + std::to_string(mix_.mp3_clients);
-            out += " video=" + std::to_string(mix_.video_clients);
-            out += " web=" + std::to_string(mix_.web_clients);
-            [[fallthrough]];
-        case Policy::hotspot:
-            out += " scheduler=" + hotspot_.scheduler;
-            out += " burst_kb=" + fmt(hotspot_.target_burst.kilobytes());
-            out += " burst_period_s=" + fmt(hotspot_.target_burst_period.to_seconds());
-            out += " wlan=" + std::to_string(hotspot_.wlan_available ? 1 : 0);
-            out += " bt=" + std::to_string(hotspot_.bt_available ? 1 : 0);
-            out += " cap=" + fmt(hotspot_.utilization_cap);
-            if (hotspot_.media_proxy) out += " media_proxy=1";
-            if (hotspot_.rejoin_enabled) out += " rejoin=1";
-            if (hotspot_.sharding.enabled()) {
-                out += " shards=" + std::to_string(hotspot_.sharding.shards);
-                out += " sim_threads=" + std::to_string(hotspot_.sharding.threads);
-                if (hotspot_.sharding.lax) out += " sync=lax";
-            }
-            break;
-    }
-    return out;
 }
 
 void ScenarioSpec::validate() const {
@@ -446,13 +310,7 @@ void ScenarioSpec::validate() const {
     }
     // Sub-configs only make sense on their own policy: reject the
     // incoherent combinations loudly instead of silently ignoring them.
-    const std::string policy_name(to_string(policy_));
-    WLANPS_REQUIRE_MSG(!psm_set_ || policy_ == Policy::psm,
-                       "PsmConfig set on a '" + policy_name +
-                           "' scenario — use ScenarioSpec::psm()");
-    WLANPS_REQUIRE_MSG(!ecmac_set_ || policy_ == Policy::ecmac,
-                       "EcmacConfig (superframe) set on a '" + policy_name +
-                           "' scenario — use ScenarioSpec::ecmac()");
+    const std::string policy_name = label();
     WLANPS_REQUIRE_MSG(
         !hotspot_set_ ||
             policy_ == Policy::hotspot || policy_ == Policy::hotspot_mixed,
@@ -470,14 +328,13 @@ void ScenarioSpec::validate() const {
                        "PowerPolicyConfig set on a '" + policy_name +
                            "' scenario — power policies ride the cam base: "
                            "ScenarioSpec::cam().with_power_policy(...)");
-    // Only the cam, psm, hotspot, and federation worlds route fault hooks
-    // (cam, psm and the power-policy worlds take per-kind whitelists below).
+    // Only the cam, hotspot, and federation worlds route fault hooks (the
+    // cam world takes a per-power-policy whitelist below).
     WLANPS_REQUIRE_MSG(
-        stream_.fault_plan.empty() ||
-            policy_ == Policy::cam || policy_ == Policy::psm ||
+        stream_.fault_plan.empty() || policy_ == Policy::cam ||
             policy_ == Policy::hotspot || policy_ == Policy::federation,
-        "fault plans are only injectable into cam, psm, hotspot, and "
-        "federation scenarios, not '" + policy_name + "'");
+        "fault plans are only injectable into cam (any power policy), hotspot, "
+        "and federation scenarios, not '" + policy_name + "'");
     stream_.fault_plan.validate();
     if (policy_ == Policy::hotspot && hotspot_.sharding.enabled()) {
         // The sharded world routes fault hooks through per-shard injectors,
@@ -528,18 +385,11 @@ void ScenarioSpec::validate() const {
                             "beacon interval");
                 }
             }
-            check_fault_hooks(label(), power_set_ ? power_.kind : policy::PolicyKind::cam,
+            check_fault_hooks(policy_name, power_set_ ? power_.kind : policy::PolicyKind::cam,
                               power_, stream_.fault_plan);
             break;
         }
         case Policy::bt:
-            break;
-        case Policy::psm:
-            psm_.validate();
-            check_fault_hooks(label(), policy::PolicyKind::psm, power_, stream_.fault_plan);
-            break;
-        case Policy::ecmac:
-            ecmac_.validate();
             break;
         case Policy::hotspot:
             hotspot_.validate();

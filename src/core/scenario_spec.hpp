@@ -3,10 +3,12 @@
 /// Backend-agnostic description of one evaluation scenario.
 ///
 /// A ScenarioSpec is the single, validated, serializable unit of
-/// experiment description: which power-management policy runs
-/// (cam / psm / ecmac / bt / hotspot / hotspot_mixed), the stream and
-/// world parameters (client count, duration, links, NIC calibration,
-/// fault plan), and the policy-specific sub-configuration.  Any
+/// experiment description: which world runs (cam / bt / hotspot /
+/// hotspot_mixed / federation), the stream and world parameters (client
+/// count, duration, links, NIC calibration, fault plan), and the
+/// world-specific sub-configuration.  The WLAN station's power policy
+/// (cam, psm, ecmac, micro_nap, pamas) and its knobs live in one place,
+/// policy::PowerPolicyConfig, set on the cam world.  Any
 /// core::Backend (backend.hpp) — the discrete-event simulator or the
 /// closed-form analytic models — executes the *same* spec and returns the
 /// same ScenarioResult shape, so grids, benches, and the energy ledger
@@ -86,29 +88,6 @@ struct ScenarioResult {
     [[nodiscard]] power::Power mean_wnic() const;
     [[nodiscard]] power::Power mean_device() const;
     [[nodiscard]] double min_qos() const;
-};
-
-/// Standard 802.11 PSM sub-configuration (TIM beacons + PS-Polls).
-struct PsmConfig {
-    int listen_interval = 1;
-    /// >1 enables MAC-level aggregation (multiple MSDUs per poll).
-    int aggregate_limit = 1;
-    Time beacon_interval = phy::calibration::kWlanBeaconInterval;
-
-    PsmConfig& with_listen_interval(int v) { listen_interval = v; return *this; }
-    PsmConfig& with_aggregate_limit(int v) { aggregate_limit = v; return *this; }
-    PsmConfig& with_beacon_interval(Time v) { beacon_interval = v; return *this; }
-
-    /// Reject incoherent values with a ContractViolation naming the field.
-    void validate() const;
-};
-
-/// EC-MAC sub-configuration (centrally broadcast schedule).
-struct EcmacConfig {
-    Time superframe = Time::from_ms(100);
-
-    EcmacConfig& with_superframe(Time v) { superframe = v; return *this; }
-    void validate() const;
 };
 
 /// Sharded parallel execution of the hotspot world (sim/sharded.hpp):
@@ -359,37 +338,37 @@ struct MixedWorkload {
     void validate() const;
 };
 
-/// Which power-management policy a scenario evaluates.
-enum class Policy { cam, psm, ecmac, bt, hotspot, hotspot_mixed, federation };
-
-/// Canonical name ("cam", "psm", "ecmac", "bt", "hotspot", "hotspot-mixed",
-/// "federation").
-[[nodiscard]] std::string_view to_string(Policy policy);
-
-/// Parse a policy name; accepts the canonical names plus the historical
-/// CLI spellings ("wlan-cam", "wlan-psm", "mixed").  Throws a
-/// ContractViolation listing the accepted names on anything else.
-[[nodiscard]] Policy parse_policy(std::string_view name);
+/// Which world a scenario builds.  The WLAN station's power policy (cam,
+/// psm, ecmac, micro_nap, pamas) is not a Policy: it is chosen on the cam
+/// world with with_power_policy().
+enum class Policy { cam, bt, hotspot, hotspot_mixed, federation };
 
 /// One scenario, fully described: policy + stream/world parameters +
 /// policy-specific sub-config.  Fluent construction:
 /// \code
-///   auto spec = ScenarioSpec::psm()
+///   auto spec = ScenarioSpec::cam()
 ///                   .with_clients(8)
 ///                   .with_duration(Time::from_seconds(120))
-///                   .with_psm(PsmConfig{}.with_listen_interval(2));
+///                   .with_power_policy(policy::PowerPolicyConfig::of(policy::PolicyKind::psm)
+///                                          .with_psm(/*listen_interval=*/2,
+///                                                    /*aggregate_limit=*/1));
 ///   spec.validate();
 ///   auto result = SimBackend().run(spec, /*seed=*/42);
 /// \endcode
-/// validate() rejects incoherent combinations (an EC-MAC superframe on a
-/// cam run, a fault plan on a policy without injection hooks, ...) with
+/// validate() rejects incoherent combinations (a HotspotConfig on a cam
+/// run, a fault plan on a policy without injection hooks, ...) with
 /// actionable messages.
 class ScenarioSpec {
 public:
-    // Named constructors, one per policy.
+    // Named constructors, one per world; psm() and ecmac() are the cam
+    // world with that power policy at its default knobs.
     [[nodiscard]] static ScenarioSpec cam() { return ScenarioSpec{Policy::cam}; }
-    [[nodiscard]] static ScenarioSpec psm() { return ScenarioSpec{Policy::psm}; }
-    [[nodiscard]] static ScenarioSpec ecmac() { return ScenarioSpec{Policy::ecmac}; }
+    [[nodiscard]] static ScenarioSpec psm() {
+        return cam().with_power_policy(policy::PowerPolicyConfig::of(policy::PolicyKind::psm));
+    }
+    [[nodiscard]] static ScenarioSpec ecmac() {
+        return cam().with_power_policy(policy::PowerPolicyConfig::of(policy::PolicyKind::ecmac));
+    }
     [[nodiscard]] static ScenarioSpec bt() { return ScenarioSpec{Policy::bt}; }
     [[nodiscard]] static ScenarioSpec hotspot() { return ScenarioSpec{Policy::hotspot}; }
     [[nodiscard]] static ScenarioSpec hotspot_mixed() {
@@ -397,9 +376,6 @@ public:
     }
     [[nodiscard]] static ScenarioSpec federation() {
         return ScenarioSpec{Policy::federation};
-    }
-    [[nodiscard]] static ScenarioSpec with_policy(Policy policy) {
-        return ScenarioSpec{policy};
     }
 
     ScenarioSpec() = default;
@@ -439,22 +415,6 @@ public:
     }
 
     // --- policy sub-configs ----------------------------------------------
-    ScenarioSpec& with_psm(PsmConfig config) {
-        psm_ = config;
-        psm_set_ = true;
-        return *this;
-    }
-    ScenarioSpec& with_ecmac(EcmacConfig config) {
-        ecmac_ = config;
-        ecmac_set_ = true;
-        return *this;
-    }
-    /// Shorthand for with_ecmac(EcmacConfig{}.with_superframe(v)).
-    ScenarioSpec& with_superframe(Time v) {
-        ecmac_.superframe = v;
-        ecmac_set_ = true;
-        return *this;
-    }
     ScenarioSpec& with_hotspot(HotspotConfig config) {
         hotspot_ = std::move(config);
         hotspot_set_ = true;
@@ -470,11 +430,9 @@ public:
         fed_set_ = true;
         return *this;
     }
-    /// Select a pluggable per-station power policy (src/policy): the two
-    /// event-driven policies (micro_nap, pamas) or an adapter kind that
-    /// reroutes to the matching pre-existing scenario (cam/psm/ecmac), so
-    /// one axis sweeps every policy the repo can run.  Rides the cam base
-    /// policy: ScenarioSpec::cam().with_power_policy(...).
+    /// Select the WLAN station's power policy and its knobs (src/policy):
+    /// cam, psm, ecmac, micro_nap or pamas.  Rides the cam world only;
+    /// without it the cam world runs CAM.
     ScenarioSpec& with_power_policy(policy::PowerPolicyConfig config) {
         power_ = std::move(config);
         power_set_ = true;
@@ -485,8 +443,6 @@ public:
     [[nodiscard]] Policy policy() const { return policy_; }
     [[nodiscard]] const StreamConfig& stream() const { return stream_; }
     [[nodiscard]] StreamConfig& stream() { return stream_; }
-    [[nodiscard]] const PsmConfig& psm_config() const { return psm_; }
-    [[nodiscard]] const EcmacConfig& ecmac_config() const { return ecmac_; }
     [[nodiscard]] const HotspotConfig& hotspot_config() const { return hotspot_; }
     [[nodiscard]] const MixedWorkload& mix() const { return mix_; }
     [[nodiscard]] const FederationConfig& federation_config() const { return fed_; }
@@ -501,11 +457,6 @@ public:
     /// ("wlan-cam", "wlan-psm", "ec-mac", "bt-active", "hotspot-<sched>").
     [[nodiscard]] std::string label() const;
 
-    /// One-line serialized description: "policy=psm clients=3
-    /// duration_s=300 listen_interval=2 ..." — stable key order, only
-    /// non-default policy fields, suitable for logs and grid labels.
-    [[nodiscard]] std::string describe() const;
-
     /// Reject structurally invalid or incoherent specs with a
     /// ContractViolation whose message names the offending field and the
     /// fix.  Backends call this before running.
@@ -516,16 +467,12 @@ private:
 
     Policy policy_ = Policy::cam;
     StreamConfig stream_;
-    PsmConfig psm_;
-    EcmacConfig ecmac_;
     HotspotConfig hotspot_;
     MixedWorkload mix_;
     FederationConfig fed_;
     policy::PowerPolicyConfig power_;
     // Sub-configs explicitly set via with_* — validate() rejects ones that
     // do not belong to the chosen policy.
-    bool psm_set_ = false;
-    bool ecmac_set_ = false;
     bool hotspot_set_ = false;
     bool mix_set_ = false;
     bool fed_set_ = false;

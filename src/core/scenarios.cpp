@@ -34,17 +34,36 @@ traffic::PlayoutBuffer::Config mp3_playout() {
     return c;
 }
 
-ScenarioResult sim_wlan_psm(const StreamConfig& config, const PsmConfig& options) {
+/// Bind the injector's link hook to every WLAN station's link in \p bss
+/// (station ids 1..clients; target 0 = all).  No BT radio in these worlds.
+void bind_wlan_fault_window(fault::FaultInjector& injector, sim::Simulator& sim, mac::Bss& bss,
+                            int clients) {
+    injector.net().fault_window = [&bss, &sim, clients](std::uint32_t client,
+                                                        fault::FaultSpec::Itf itf, double p,
+                                                        Time until) {
+        if (itf == fault::FaultSpec::Itf::bt) return;
+        auto apply = [&](mac::StationId id) {
+            if (auto* link = bss.link(id)) link->add_fault_window(sim.now(), until, p);
+        };
+        if (client == 0) {
+            for (int i = 0; i < clients; ++i) apply(static_cast<mac::StationId>(i + 1));
+        } else {
+            apply(static_cast<mac::StationId>(client));
+        }
+    };
+}
+
+ScenarioResult sim_wlan_psm(const StreamConfig& config, const policy::PowerPolicyConfig& power) {
     WLANPS_REQUIRE(config.clients >= 1);
-    WLANPS_REQUIRE(options.listen_interval >= 1);
-    WLANPS_REQUIRE(options.aggregate_limit >= 1);
+    WLANPS_REQUIRE(power.psm_listen_interval >= 1);
+    WLANPS_REQUIRE(power.psm_aggregate_limit >= 1);
     sim::Simulator sim;
     sim::Random root(config.seed);
     mac::Bss bss(sim);
     mac::AccessPointConfig ap_cfg;
     ap_cfg.mode = mac::ApMode::psm;
-    ap_cfg.beacon_interval = options.beacon_interval;
-    ap_cfg.aggregate_limit = options.aggregate_limit;
+    ap_cfg.beacon_interval = power.beacon_interval;
+    ap_cfg.aggregate_limit = power.psm_aggregate_limit;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(100));
 
     std::vector<std::unique_ptr<mac::WlanStation>> stations;
@@ -55,7 +74,7 @@ ScenarioResult sim_wlan_psm(const StreamConfig& config, const PsmConfig& options
         const auto id = static_cast<mac::StationId>(i + 1);
         mac::StationConfig st_cfg;
         st_cfg.mode = mac::StationMode::psm;
-        st_cfg.listen_interval = options.listen_interval;
+        st_cfg.listen_interval = power.psm_listen_interval;
         auto st = std::make_unique<mac::WlanStation>(sim, bss, id, st_cfg, mac::DcfConfig{},
                                                      config.wlan_nic, root.fork(200 + i));
         if (obs::EnergyLedger* led = obs::current_ledger()) {
@@ -82,21 +101,7 @@ ScenarioResult sim_wlan_psm(const StreamConfig& config, const PsmConfig& options
         injector->mac().poll_drop = [&ap, &root](double p, Time until) {
             ap.inject_poll_drop(p, until, root.fork(901));
         };
-        injector->net().fault_window = [&bss, &sim, &config](std::uint32_t client,
-                                                             fault::FaultSpec::Itf itf,
-                                                             double p, Time until) {
-            if (itf == fault::FaultSpec::Itf::bt) return;  // no BT in this scenario
-            auto apply = [&](mac::StationId id) {
-                if (auto* link = bss.link(id)) link->add_fault_window(sim.now(), until, p);
-            };
-            if (client == 0) {
-                for (int i = 0; i < config.clients; ++i) {
-                    apply(static_cast<mac::StationId>(i + 1));
-                }
-            } else {
-                apply(static_cast<mac::StationId>(client));
-            }
-        };
+        bind_wlan_fault_window(*injector, sim, bss, config.clients);
     }
 
     ap.start();
@@ -646,23 +651,7 @@ ScenarioResult sim_policy_bss(const StreamConfig& config,
                 }
             }
         };
-        injector->net().fault_window = [&world, &sim, &config](std::uint32_t client,
-                                                               fault::FaultSpec::Itf itf,
-                                                               double p, Time until) {
-            if (itf == fault::FaultSpec::Itf::bt) return;  // no BT in this scenario
-            auto apply = [&](mac::StationId id) {
-                if (auto* link = world.bss().link(id)) {
-                    link->add_fault_window(sim.now(), until, p);
-                }
-            };
-            if (client == 0) {
-                for (int i = 0; i < config.clients; ++i) {
-                    apply(static_cast<mac::StationId>(i + 1));
-                }
-            } else {
-                apply(static_cast<mac::StationId>(client));
-            }
-        };
+        bind_wlan_fault_window(*injector, sim, world.bss(), config.clients);
     }
 
     world.start();
@@ -693,34 +682,22 @@ ScenarioResult sim_policy_bss(const StreamConfig& config,
 ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) const {
     StreamConfig config = spec.stream();
     config.seed = seed;
-    if (spec.policy() == Policy::cam) {
-        // Pluggable power policies (plain cam is the cam kind): the adapter
-        // kinds reroute to their MAC station builders so one spec axis
-        // sweeps them all; the rest build a PolicyBssWorld.
-        const policy::PowerPolicyConfig power =
-            spec.has_power_policy() ? spec.power_policy_config()
-                                    : policy::PowerPolicyConfig::of(policy::PolicyKind::cam);
-        switch (power.kind) {
-            case policy::PolicyKind::psm: {
-                PsmConfig psm;
-                psm.listen_interval = power.psm_listen_interval;
-                psm.aggregate_limit = power.psm_aggregate_limit;
-                psm.beacon_interval = power.beacon_interval;
-                return sim_wlan_psm(config, psm);
-            }
-            case policy::PolicyKind::ecmac:
-                return sim_ecmac(config, power.ecmac_superframe);
-            case policy::PolicyKind::cam:
-            case policy::PolicyKind::micro_nap:
-            case policy::PolicyKind::pamas:
-                return sim_policy_bss(config, power, spec.label());
-        }
-        WLANPS_REQUIRE_MSG(false, "bad power-policy kind");
-    }
     switch (spec.policy()) {
-        case Policy::cam: break;  // handled above
-        case Policy::psm: return sim_wlan_psm(config, spec.psm_config());
-        case Policy::ecmac: return sim_ecmac(config, spec.ecmac_config().superframe);
+        case Policy::cam: {
+            // The WLAN world: one station build per power-policy kind.
+            const policy::PowerPolicyConfig power =
+                spec.has_power_policy() ? spec.power_policy_config()
+                                        : policy::PowerPolicyConfig::of(policy::PolicyKind::cam);
+            switch (power.kind) {
+                case policy::PolicyKind::psm: return sim_wlan_psm(config, power);
+                case policy::PolicyKind::ecmac: return sim_ecmac(config, power.ecmac_superframe);
+                case policy::PolicyKind::cam:
+                case policy::PolicyKind::micro_nap:
+                case policy::PolicyKind::pamas:
+                    return sim_policy_bss(config, power, spec.label());
+            }
+            break;
+        }
         case Policy::bt: return sim_bt_active(config);
         case Policy::hotspot:
             if (spec.hotspot_config().sharding.enabled()) {

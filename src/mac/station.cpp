@@ -72,7 +72,9 @@ void WlanStation::on_frame(const Frame& frame) {
     switch (frame.kind) {
         case FrameKind::beacon:
             ++beacons_heard_;
-            WLANPS_OBS_COUNT("mac.psm.beacons_heard", 1);
+            if (config_.mode == StationMode::psm) {
+                WLANPS_OBS_COUNT("mac.psm.beacons_heard", 1);
+            }
             if (config_.mode == StationMode::psm && awaiting_beacon_) {
                 awaiting_beacon_ = false;
                 timeout_event_.cancel();

@@ -117,8 +117,12 @@ void export_flight(ChromeTraceWriter& writer, const FlightRecorder& recorder) {
     // Pass 2: a slice per hop, flow arrows chaining non-zero flows.
     for (std::size_t i = 0; i < count; ++i) {
         const FlightEvent& e = recorder.at(i);
-        const std::string lane =
-            e.client == 0 ? "server flow" : "C" + std::to_string(e.client) + " flow";
+        std::string lane = "server flow";
+        if (e.client != 0) {
+            lane = "C";
+            lane += std::to_string(e.client);
+            lane += " flow";
+        }
         const int tid = writer.lane(lane);
         const Time begin = Time::from_ns(e.t_ns);
         // Airtime/latency hops carry their duration in value (ns); the

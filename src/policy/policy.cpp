@@ -42,7 +42,7 @@ void PowerPolicyConfig::validate() const {
                            "uplink_size must be positive when uplink is enabled");
         WLANPS_REQUIRE_MSG(kind != PolicyKind::psm && kind != PolicyKind::ecmac,
                            std::string("uplink is not modeled by the '") + to_string(kind) +
-                               "' adapter — only cam, micro_nap and pamas send uplink");
+                               "' station — only cam, micro_nap and pamas send uplink");
     }
     switch (kind) {
         case PolicyKind::psm:
@@ -77,7 +77,7 @@ std::unique_ptr<PowerPolicy> make_power_policy(const PowerPolicyConfig& config) 
             return std::make_unique<PamasPolicy>(config.pamas);
         case PolicyKind::psm:
         case PolicyKind::ecmac:
-            return nullptr;  // adapter kinds run their MAC station builders
+            return nullptr;  // psm and ecmac run on the MAC's own stations
     }
     return nullptr;
 }

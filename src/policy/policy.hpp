@@ -1,12 +1,13 @@
 #pragma once
 /// \file policy.hpp
-/// Power-policy selection: the config every scenario carries to pick and
-/// parameterize a power-saving policy (core::ScenarioSpec::with_power_policy).
+/// Power-policy selection: the one place a WLAN station's power policy and
+/// its knobs are chosen (core::ScenarioSpec::with_power_policy;
+/// ScenarioSpec::psm() and ecmac() are shorthands for it).
 ///
 /// Five kinds are selectable.  Three run on the policy station
-/// (PolicyBssWorld): cam, micro_nap and pamas.  Two are adapters onto the
-/// MAC's own station builders: psm (TIM beacons + PS-Polls) and ecmac.  A
-/// single `--policy=<name>` axis sweeps everything the repo can do.
+/// (PolicyBssWorld): cam, micro_nap and pamas.  Two run on the MAC's own
+/// stations: psm (TIM beacons + PS-Polls) and ecmac (a centrally broadcast
+/// superframe schedule).  A single `--policy=<name>` axis sweeps them all.
 
 #include <memory>
 #include <string>
@@ -44,11 +45,13 @@ struct PowerPolicyConfig {
     MicroNapConfig micro_nap;
     PamasPolicyConfig pamas;
 
-    /// AP beacon interval of the policy world (also the psm adapter's).
+    /// AP beacon interval (every kind but ecmac).
     Time beacon_interval = phy::calibration::kWlanBeaconInterval;
 
-    // --- adapter knobs (kind == psm / ecmac) ---------------------------
+    // --- MAC-station knobs (kind == psm / ecmac) -----------------------
+    /// Beacons between a psm station's TIM checks.
     int psm_listen_interval = 1;
+    /// >1 enables MAC-level aggregation (several MSDUs per PS-Poll).
     int psm_aggregate_limit = 1;
     Time ecmac_superframe = Time::from_ms(100);
 
@@ -89,8 +92,8 @@ struct PowerPolicyConfig {
 };
 
 /// Instantiate the policy object for \p config.  The policy-station kinds
-/// (cam, micro_nap, pamas) have policy objects; the adapter kinds (psm,
-/// ecmac) run through their MAC station builders and return nullptr here.
+/// (cam, micro_nap, pamas) have policy objects; psm and ecmac run on the
+/// MAC's own stations and return nullptr here.
 [[nodiscard]] std::unique_ptr<PowerPolicy> make_power_policy(const PowerPolicyConfig& config);
 
 }  // namespace wlanps::policy

@@ -41,8 +41,8 @@ PolicyBssWorld::PolicyBssWorld(sim::Simulator& sim, PolicyWorldConfig config,
     WLANPS_REQUIRE(config_.clients >= 1);
     WLANPS_REQUIRE_MSG(config_.policy.kind != PolicyKind::psm &&
                            config_.policy.kind != PolicyKind::ecmac,
-                       "PolicyBssWorld runs cam, micro_nap and pamas; the psm and ecmac "
-                       "adapters use their MAC station builders");
+                       "PolicyBssWorld runs cam, micro_nap and pamas; psm and ecmac "
+                       "run on the MAC's own stations");
     config_.policy.validate();
 
     sim::Random root(config_.seed);

@@ -322,13 +322,6 @@ TEST(AnalyticBackendTest, AdapterPowerPoliciesMapOntoClosedForms) {
         ASSERT_EQ(result.clients.size(), 2u);
         EXPECT_GT(result.clients.front().wnic_average.watts(), 0.0);
     }
-    // The psm adapter's closed form must agree with the native psm spec.
-    const auto native = analytic.run(core::ScenarioSpec::psm().with_stream(stream(2, 60)));
-    const auto adapted = analytic.run(
-        core::ScenarioSpec::cam().with_stream(stream(2, 60)).with_power_policy(
-            policy::PowerPolicyConfig::of(policy::PolicyKind::psm)));
-    EXPECT_DOUBLE_EQ(adapted.clients.front().wnic_average.watts(),
-                     native.clients.front().wnic_average.watts());
 }
 
 // ---- ScenarioSpec validation -------------------------------------------------------
@@ -339,20 +332,19 @@ TEST(ScenarioSpecValidation, RejectsZeroDuration) {
 }
 
 TEST(ScenarioSpecValidation, RejectsSubConfigOnWrongPolicy) {
-    core::PsmConfig psm_options;
     EXPECT_THROW((void)core::ScenarioSpec::cam()
                      .with_stream(stream(1, 60))
-                     .with_psm(psm_options)
+                     .with_hotspot(core::HotspotConfig{})
                      .validate(),
                  ContractViolation);
 }
 
 TEST(ScenarioSpecValidation, RejectsBadPsmParameters) {
-    core::PsmConfig bad;
-    bad.listen_interval = 0;
-    EXPECT_THROW((void)core::ScenarioSpec::psm()
+    auto bad = policy::PowerPolicyConfig::of(policy::PolicyKind::psm);
+    bad.psm_listen_interval = 0;
+    EXPECT_THROW((void)core::ScenarioSpec::cam()
                      .with_stream(stream(1, 60))
-                     .with_psm(bad)
+                     .with_power_policy(bad)
                      .validate(),
                  ContractViolation);
 }

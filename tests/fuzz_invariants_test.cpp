@@ -31,8 +31,10 @@ TEST_P(Fuzz, PowerStateMachineInvariants) {
     power::PowerModel model;
     std::vector<power::StateId> states;
     for (int i = 0; i < 4; ++i) {
-        states.push_back(model.add_state("s" + std::to_string(i),
-                                         power::Power::from_watts(rng.uniform(0.0, 2.0))));
+        std::string name = "s";
+        name += std::to_string(i);
+        states.push_back(
+            model.add_state(std::move(name), power::Power::from_watts(rng.uniform(0.0, 2.0))));
     }
     for (int i = 0; i < 6; ++i) {
         const auto a = states[static_cast<std::size_t>(rng.uniform_int(0, 3))];

@@ -155,14 +155,15 @@ TEST(EcMacIntegration, SitsBetweenPsmAndHotspot) {
 
 TEST(PsmIntegration, AggregationSavesEnergy) {
     const auto cfg = quick();
-    PsmConfig plain;
-    PsmConfig agg;
-    agg.aggregate_limit = 8;
-    EXPECT_LT(
-        backend.run(ScenarioSpec::psm().with_stream(cfg).with_psm(agg)).mean_wnic().watts(),
-        backend.run(ScenarioSpec::psm().with_stream(cfg).with_psm(plain))
+    const auto psm = [&](int aggregate_limit) {
+        return backend
+            .run(ScenarioSpec::cam().with_stream(cfg).with_power_policy(
+                policy::PowerPolicyConfig::of(policy::PolicyKind::psm)
+                    .with_psm(1, aggregate_limit)))
             .mean_wnic()
-            .watts());
+            .watts();
+    };
+    EXPECT_LT(psm(8), psm(1));
 }
 
 TEST(ReproducibilityIntegration, SameSeedSameResult) {

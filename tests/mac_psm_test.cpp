@@ -10,6 +10,8 @@
 #include "mac/access_point.hpp"
 #include "mac/bss.hpp"
 #include "mac/station.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/source.hpp"
 
@@ -56,6 +58,26 @@ TEST(PsmTest, BeaconsAreSentOnSchedule) {
     EXPECT_EQ(w.ap->beacons_sent(), 10u);
     EXPECT_GE(w.stations[0]->beacons_heard(), 9u);  // the station catches them
 }
+
+#if defined(WLANPS_OBS_ENABLED)
+TEST(PsmTest, OnlyPsmStationsCountPsmBeacons) {
+    // A CAM station hears every beacon too, but mac.psm.* is PSM's counter.
+    for (const StationMode mode : {StationMode::cam, StationMode::psm}) {
+        obs::MetricsRegistry reg;
+        obs::ScopedRegistry scope(reg);
+        PsmWorld w(0);
+        StationConfig st;
+        st.mode = mode;
+        w.stations.push_back(std::make_unique<WlanStation>(
+            w.sim, w.bss, 1, st, DcfConfig{}, phy::WlanNicConfig{}, w.root.fork(10)));
+        w.start();
+        w.sim.run_until(Time::from_seconds(1.1));
+        ASSERT_GE(w.stations[0]->beacons_heard(), 9u);
+        EXPECT_EQ(reg.counter("mac.psm.beacons_heard").value(),
+                  mode == StationMode::psm ? w.stations[0]->beacons_heard() : 0u);
+    }
+}
+#endif  // WLANPS_OBS_ENABLED
 
 TEST(PsmTest, IdleStationDozesBetweenBeacons) {
     PsmWorld w(1);

@@ -239,9 +239,10 @@ TEST(ObsLoggerTest, ConcurrentWritersNeverTearLines) {
     pool.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
         pool.emplace_back([t] {
+            std::string tag = "t";
+            tag += std::to_string(t);
             for (int j = 0; j < kLines; ++j) {
-                sim::Logger::log(sim::LogLevel::info, 5_ms, "t" + std::to_string(t),
-                                 "message " + std::to_string(j));
+                sim::Logger::log(sim::LogLevel::info, 5_ms, tag, "message " + std::to_string(j));
             }
         });
     }

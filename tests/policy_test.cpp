@@ -1,8 +1,8 @@
 /// Tests for the pluggable power-policy subsystem (src/policy): policy
 /// selection/parsing, μNap break-even math and nav_sleep reallocation,
-/// PAMAS battery-driven stretching and duty cycling, adapter equivalence
-/// with the native scenarios, uplink support, per-policy fault whitelists,
-/// and exact ledger attribution.
+/// PAMAS battery-driven stretching and duty cycling, plain cam() running
+/// the cam kind, uplink support, per-policy fault whitelists, and exact
+/// ledger attribution.
 
 #include <gtest/gtest.h>
 
@@ -80,7 +80,7 @@ TEST(PowerPolicySelectionTest, LabelsFollowTheSelectedKind) {
 }
 
 TEST(PowerPolicySelectionTest, PowerPolicyRidesTheCamBaseOnly) {
-    const auto spec = core::ScenarioSpec::psm().with_power_policy(
+    const auto spec = core::ScenarioSpec::bt().with_power_policy(
         policy::PowerPolicyConfig::of(policy::PolicyKind::micro_nap));
     EXPECT_THROW(spec.validate(), ContractViolation);
 }
@@ -377,25 +377,7 @@ TEST(PamasDutyCycleTest, LatencyReflectsSleepCycle) {
     EXPECT_LT(rig.station.delivery_latency().mean(), 1.0);
 }
 
-// --- adapters match the native scenarios --------------------------------
-
-TEST(PolicyAdapterTest, PsmAdapterIsBitIdenticalToNativePsm) {
-    const Time duration = Time::from_seconds(10);
-    const auto native = backend.run(
-        core::ScenarioSpec::psm().with_clients(2).with_duration(duration), 42);
-    const auto adapted = backend.run(
-        policy_spec(policy::PowerPolicyConfig::of(policy::PolicyKind::psm), 2,
-                    duration),
-        42);
-
-    EXPECT_EQ(adapted.label, native.label);
-    ASSERT_EQ(adapted.clients.size(), native.clients.size());
-    for (std::size_t i = 0; i < native.clients.size(); ++i) {
-        EXPECT_DOUBLE_EQ(adapted.clients[i].wnic_energy.joules(),
-                         native.clients[i].wnic_energy.joules());
-        EXPECT_DOUBLE_EQ(adapted.clients[i].qos, native.clients[i].qos);
-    }
-}
+// --- plain cam() is the cam kind ---------------------------------------
 
 TEST(PolicyAdapterTest, CamAdapterIsBitIdenticalToPlainCam) {
     const Time duration = Time::from_seconds(10);
@@ -519,22 +501,16 @@ TEST(PolicyFaultTest, WhitelistsFollowEachPolicysDependencies) {
 }
 
 TEST(PolicyFaultTest, NativePsmRejectsUnboundKindsLikeTheAdapter) {
-    // The psm station build binds no phy hooks: both spellings of psm must
-    // refuse a nic_lockup plan at validate(), not later inside arm().
+    // The psm station build binds no phy hooks: psm must refuse a
+    // nic_lockup plan at validate(), not later inside arm().
     fault::FaultPlan lockup;
     lockup.nic_lockup(Time::from_seconds(1), Time::from_seconds(2));
-    for (const auto& spec :
-         {core::ScenarioSpec::psm().with_clients(2).with_fault_plan(lockup),
-          policy_spec(policy::PowerPolicyConfig::of(policy::PolicyKind::psm))
-              .with_fault_plan(lockup)}) {
-        try {
-            spec.validate();
-            FAIL() << "expected ContractViolation";
-        } catch (const ContractViolation& e) {
-            EXPECT_NE(std::string(e.what()).find("cannot inject 'nic-lockup'"),
-                      std::string::npos)
-                << e.what();
-        }
+    try {
+        core::ScenarioSpec::psm().with_clients(2).with_fault_plan(lockup).validate();
+        FAIL() << "expected ContractViolation";
+    } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("cannot inject 'nic-lockup'"), std::string::npos)
+            << e.what();
     }
 
     // The kinds the psm world does bind still pass.

@@ -50,15 +50,12 @@ TEST_P(ListenIntervalSweep, PowerFallsLatencyRises) {
     config.clients = 1;
     config.duration = Time::from_seconds(45);
 
-    core::PsmConfig base;
-    base.listen_interval = 1;
-    core::PsmConfig longer;
-    longer.listen_interval = GetParam();
-
-    const auto r1 =
-        backend.run(core::ScenarioSpec::psm().with_stream(config).with_psm(base));
-    const auto rn =
-        backend.run(core::ScenarioSpec::psm().with_stream(config).with_psm(longer));
+    const auto psm = [&](int listen_interval) {
+        return backend.run(core::ScenarioSpec::cam().with_stream(config).with_power_policy(
+            policy::PowerPolicyConfig::of(policy::PolicyKind::psm).with_psm(listen_interval, 1)));
+    };
+    const auto r1 = psm(1);
+    const auto rn = psm(GetParam());
     EXPECT_LE(rn.mean_wnic().watts(), r1.mean_wnic().watts() * 1.02)
         << "listen interval " << GetParam();
     // QoS still holds (MP3 tolerates the added beacon-multiple latency).
@@ -147,10 +144,10 @@ TEST_P(BeaconSweep, PsmWorksAcrossBeaconIntervals) {
     core::StreamConfig config;
     config.clients = 1;
     config.duration = Time::from_seconds(45);
-    core::PsmConfig options;
-    options.beacon_interval = Time::from_ms(GetParam());
+    auto psm = policy::PowerPolicyConfig::of(policy::PolicyKind::psm);
+    psm.beacon_interval = Time::from_ms(GetParam());
     const auto result =
-        backend.run(core::ScenarioSpec::psm().with_stream(config).with_psm(options));
+        backend.run(core::ScenarioSpec::cam().with_stream(config).with_power_policy(psm));
     EXPECT_DOUBLE_EQ(result.min_qos(), 1.0) << GetParam() << " ms beacons";
     EXPECT_LT(result.mean_wnic().watts(), 0.45);
 }
