@@ -28,10 +28,10 @@ int main() {
     bu::heading("AB10", "Mixed workloads: 2x MP3 + 1x VBR video + 1x web, one Hotspot, 180 s");
 
     core::StreamConfig config;
+    config.clients = 4;  // C1-C2 MP3, C3 video, C4 web
     config.duration = Time::from_seconds(180);
 
-    core::MixedWorkload mix;
-    mix.mp3_clients = 2;
+    core::HotspotConfig mix;
     mix.video_clients = 1;
     mix.web_clients = 1;
 
@@ -41,7 +41,7 @@ int main() {
         std::vector<core::HotspotServer::BurstDecision> recent;
     } snap;
 
-    core::HotspotConfig options;
+    core::HotspotConfig options = mix;
     options.inspect = [&](sim::Simulator&, core::HotspotServer& server,
                           std::vector<core::HotspotClient*>&) {
         snap.bt_reserved = server.reserved(phy::Interface::bluetooth);
@@ -52,7 +52,8 @@ int main() {
                            server.decisions().end());
     };
 
-    const auto result = backend.run(core::ScenarioSpec::hotspot_mixed().with_stream(config).with_hotspot(options).with_mix(mix));
+    const auto result =
+        backend.run(core::ScenarioSpec::hotspot().with_stream(config).with_hotspot(options));
 
     const char* kind[] = {"mp3", "mp3", "video", "web"};
     const std::size_t n_clients = result.clients.size();
@@ -84,7 +85,7 @@ int main() {
         exp::ExperimentSpec{}
             .with_run(core::scenarios::spec_grid_run(
                 std::make_shared<core::SimBackend>(),
-                {core::ScenarioSpec::hotspot_mixed().with_stream(config).with_mix(mix)}))
+                {core::ScenarioSpec::hotspot().with_stream(config).with_hotspot(mix)}))
             .with_backend("sim")
             .with_point("mixed")
             .with_seed_range(42, 4));

@@ -12,6 +12,8 @@
 ///               [--obs-post-mortem PREFIX] [--obs-post-mortem-threshold S]
 ///
 ///   --config: hotspot (default) | wlan-cam | wlan-psm | bt | ecmac | mixed
+///            (mixed = the hotspot with --clients - 2 stored-MP3 clients,
+///            then 1 live-video and 1 web client; needs --clients >= 2)
 ///   --policy: run one BSS under a pluggable power policy instead of a
 ///            --config shape: cam | psm | ecmac | micro_nap | pamas
 ///            (micro_nap = in-exchange NAV/backoff micro-sleeps; pamas =
@@ -104,6 +106,7 @@ namespace {
     std::fprintf(stderr,
                  "usage: %s [--clients N] [--duration S] [--scheduler NAME] [--burst KB]\n"
                  "          [--config hotspot|wlan-cam|wlan-psm|bt|ecmac|mixed|federation]\n"
+                 "          (mixed: N-2 MP3 clients, then 1 video and 1 web; N >= 2)\n"
                  "          [--policy cam|psm|ecmac|micro_nap|pamas]\n"
                  "          [--backend sim|analytic] [--seed N] [--no-bt] [--no-wlan]\n"
                  "          [--fault-plan SPEC] [--recovery none|reclaim|rejoin|degrade]\n"
@@ -520,8 +523,9 @@ int main(int argc, char** argv) {
             if (kind == "bt") return core::ScenarioSpec::bt();
             if (kind == "ecmac") return core::ScenarioSpec::ecmac();
             if (kind == "mixed") {
-                return core::ScenarioSpec::hotspot_mixed().with_hotspot(options).with_mix(
-                    core::MixedWorkload{});
+                options.video_clients = 1;
+                options.web_clients = 1;
+                return core::ScenarioSpec::hotspot().with_hotspot(options);
             }
             if (kind == "federation") {
                 return core::ScenarioSpec::federation().with_federation(fed_options);

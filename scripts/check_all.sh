@@ -36,7 +36,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 echo "=== [1/7] tier-1: build + ctest ==="
-cmake -B "$BUILD_DIR" -S . >/dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 

@@ -20,7 +20,7 @@ BUILD_DIR="${1:-build-fed}"
 CLIENTS="${2:-10000}"
 SEED=42
 
-cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target hotspot_cli >/dev/null
 
 CLI="./$BUILD_DIR/examples/hotspot_cli"

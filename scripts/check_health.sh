@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
 
-cmake -B "$BUILD_DIR" -S . >/dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target obs_health_test obs_stream_test hotspot_cli >/dev/null
 

@@ -56,9 +56,10 @@ BUILD_DIR="${1:-build-perf}"
 OBS_BUILD_DIR="${2:-build-perf-obs}"
 BASELINE="scripts/perf_baseline.json"
 
-cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_perf_kernel >/dev/null
-cmake -B "$OBS_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DWLANPS_OBS=ON >/dev/null
+cmake -B "$OBS_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DWLANPS_OBS=ON \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$OBS_BUILD_DIR" -j "$(nproc)" --target bench_perf_kernel >/dev/null
 
 RESULT_JSON="$BUILD_DIR/check_perf_result.json"

@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-tsan}"
 
-cmake -B "$BUILD_DIR" -S . -DWLANPS_SANITIZE=thread -DWLANPS_OBS=ON
+cmake -B "$BUILD_DIR" -S . -DWLANPS_SANITIZE=thread -DWLANPS_OBS=ON -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target exp_runner_test sim_simulator_test sim_calendar_queue_test obs_test \
     sim_sharded_test fed_federation_test obs_health_test

@@ -15,17 +15,10 @@ using core::ScenarioResult;
 using core::ScenarioSpec;
 
 std::string AnalyticBackend::unsupported_reason(const ScenarioSpec& spec) const {
-    switch (spec.policy()) {
-        case Policy::hotspot_mixed:
-            return "heterogeneous mixed workloads (video/web admission, per-class "
-                   "QoS) have no closed-form model — run hotspot_mixed scenarios "
-                   "on the sim backend";
-        case Policy::federation:
-            return "federation roaming/admission dynamics (flash crowds, handoffs, "
-                   "backhaul contention) are event-driven and have no closed-form "
-                   "model — run federation scenarios on the sim backend";
-        default:
-            break;
+    if (spec.policy() == Policy::federation) {
+        return "federation roaming/admission dynamics (flash crowds, handoffs, "
+               "backhaul contention) are event-driven and have no closed-form "
+               "model — run federation scenarios on the sim backend";
     }
     if (spec.has_power_policy()) {
         switch (spec.power_policy_config().kind) {
@@ -57,6 +50,11 @@ std::string AnalyticBackend::unsupported_reason(const ScenarioSpec& spec) const 
     }
     if (spec.policy() == Policy::hotspot) {
         const auto& h = spec.hotspot_config();
+        if (h.mixed()) {
+            return "heterogeneous client mixes (video/web admission, per-class "
+                   "QoS) have no closed-form model — run hotspots with video or "
+                   "web clients on the sim backend";
+        }
         if (h.media_proxy) {
             return "media-proxy degradation is adaptive and has no closed-form "
                    "model — run proxied scenarios on the sim backend";
@@ -113,7 +111,6 @@ ScenarioResult AnalyticBackend::do_run(const ScenarioSpec& spec, std::uint64_t s
                                         stream.wlan_link, stream.bt_link);
             break;
         }
-        case Policy::hotspot_mixed:
         case Policy::federation:
             WLANPS_REQUIRE_MSG(false, "unsupported policy reached AnalyticBackend::do_run");
     }
@@ -128,7 +125,7 @@ ScenarioResult AnalyticBackend::do_run(const ScenarioSpec& spec, std::uint64_t s
 
     ScenarioResult result;
     result.label = spec.label();
-    result.clients.assign(static_cast<std::size_t>(spec.clients()), m);
+    result.clients.assign(static_cast<std::size_t>(stream.clients), m);
     return result;
 }
 

@@ -8,8 +8,8 @@
 /// microseconds and re-run the interesting points in sim unchanged.
 ///
 /// Supported policies: cam, psm, bt, hotspot — steady state only.
-/// Everything transient or event-driven (ec-mac schedules, mixed
-/// workloads, fault plans, recovery, media proxies, scripted link decay,
+/// Everything transient or event-driven (ec-mac schedules, video/web
+/// client mixes, fault plans, recovery, media proxies, scripted link decay,
 /// sim-only callbacks) is rejected up front via unsupported_reason() with
 /// a message naming the sim backend as the fallback.
 

@@ -53,7 +53,7 @@ protected:
 };
 
 /// Discrete-event simulator engine: builds the full world (MAC/PHY,
-/// traffic, faults, recovery) and runs it to spec.duration().  Ground
+/// traffic, faults, recovery) and runs it to spec.stream().duration.  Ground
 /// truth for every policy; integrates with the obs registry and the
 /// energy ledger via obs::current()/current_ledger().
 class SimBackend final : public Backend {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "bt/piconet.hpp"
 #include "sim/assert.hpp"
 
 namespace wlanps::core {
@@ -231,6 +232,11 @@ void HotspotConfig::validate() const {
     WLANPS_REQUIRE_MSG(utilization_cap > 0.0,
                        "HotspotConfig.utilization_cap must be positive (got " +
                            fmt(utilization_cap) + ")");
+    WLANPS_REQUIRE_MSG(video_clients >= 0 && web_clients >= 0,
+                       "HotspotConfig.video_clients and web_clients cannot be negative");
+    WLANPS_REQUIRE_MSG(!mixed() || !media_proxy,
+                       "HotspotConfig video/web clients are fed live by the server; "
+                       "media_proxy feeds every client — set one or the other");
     resilience.validate();
     if (rejoin_enabled) rejoin.validate();
     if (media_proxy) {
@@ -246,6 +252,8 @@ void HotspotConfig::validate() const {
         // one global event queue) and would be silently ignored.
         WLANPS_REQUIRE_MSG(!media_proxy,
                            "sharded hotspot does not support the media proxy yet");
+        WLANPS_REQUIRE_MSG(!mixed(),
+                           "sharded hotspot does not support video/web clients yet");
         WLANPS_REQUIRE_MSG(!rejoin_enabled,
                            "sharded hotspot does not support rejoin agents yet");
         WLANPS_REQUIRE_MSG(resilience.liveness_timeout.is_zero() && !resilience.burst_repair,
@@ -256,14 +264,6 @@ void HotspotConfig::validate() const {
                            "sharded hotspot does not support server callbacks/traces "
                            "(on_start, inspect, contract_tweak, fault_trace)");
     }
-}
-
-void MixedWorkload::validate() const {
-    WLANPS_REQUIRE_MSG(mp3_clients >= 0 && video_clients >= 0 && web_clients >= 0,
-                       "MixedWorkload client counts must be non-negative");
-    WLANPS_REQUIRE_MSG(total() >= 1, "MixedWorkload needs at least one client");
-    WLANPS_REQUIRE_MSG(total() <= 7, "one piconet supports at most 7 active slaves (got " +
-                                         std::to_string(total()) + ")");
 }
 
 std::string ScenarioSpec::label() const {
@@ -281,9 +281,8 @@ std::string ScenarioSpec::label() const {
             return "wlan-cam";
         case Policy::bt: return "bt-active";
         case Policy::hotspot:
-            return (hotspot_.sharding.enabled() ? "hotspot-sharded-" : "hotspot-") +
-                   hotspot_.scheduler;
-        case Policy::hotspot_mixed: return "hotspot-mixed-" + hotspot_.scheduler;
+            if (hotspot_.sharding.enabled()) return "hotspot-sharded-" + hotspot_.scheduler;
+            return (hotspot_.mixed() ? "hotspot-mixed-" : "hotspot-") + hotspot_.scheduler;
         case Policy::federation:
             return "federation-" + std::string(to_string(fed_.admission));
     }
@@ -293,9 +292,7 @@ std::string ScenarioSpec::label() const {
 void ScenarioSpec::validate() const {
     WLANPS_REQUIRE_MSG(stream_.duration > Time::zero(),
                        "ScenarioSpec duration must be positive");
-    if (policy_ == Policy::hotspot_mixed) {
-        mix_.validate();
-    } else if (policy_ == Policy::federation) {
+    if (policy_ == Policy::federation) {
         // The initial population may be empty if arrivals feed the cells.
         WLANPS_REQUIRE_MSG(stream_.clients >= 0,
                            "ScenarioSpec clients cannot be negative");
@@ -311,14 +308,9 @@ void ScenarioSpec::validate() const {
     // Sub-configs only make sense on their own policy: reject the
     // incoherent combinations loudly instead of silently ignoring them.
     const std::string policy_name = label();
-    WLANPS_REQUIRE_MSG(
-        !hotspot_set_ ||
-            policy_ == Policy::hotspot || policy_ == Policy::hotspot_mixed,
-        "HotspotConfig set on a '" + policy_name +
-            "' scenario — use ScenarioSpec::hotspot() or hotspot_mixed()");
-    WLANPS_REQUIRE_MSG(!mix_set_ || policy_ == Policy::hotspot_mixed,
-                       "MixedWorkload set on a '" + policy_name +
-                           "' scenario — use ScenarioSpec::hotspot_mixed()");
+    WLANPS_REQUIRE_MSG(!hotspot_set_ || policy_ == Policy::hotspot,
+                       "HotspotConfig set on a '" + policy_name +
+                           "' scenario — use ScenarioSpec::hotspot()");
     WLANPS_REQUIRE_MSG(!fed_set_ || policy_ == Policy::federation,
                        "FederationConfig set on a '" + policy_name +
                            "' scenario — use ScenarioSpec::federation()");
@@ -353,14 +345,6 @@ void ScenarioSpec::validate() const {
                     "or schedule-message path) — use the single-queue hotspot "
                     "(shards = 0) for that kind");
         }
-        if (hotspot_.bt_available) {
-            const int per_cell =
-                (stream_.clients + hotspot_.sharding.shards - 1) / hotspot_.sharding.shards;
-            WLANPS_REQUIRE_MSG(per_cell <= 7,
-                               "each sharded cell owns one piconet (max 7 active slaves); " +
-                                   std::to_string(per_cell) +
-                                   " clients per cell need bt_available = false or more shards");
-        }
     }
     switch (policy_) {
         case Policy::cam: {
@@ -391,12 +375,28 @@ void ScenarioSpec::validate() const {
         }
         case Policy::bt:
             break;
-        case Policy::hotspot:
+        case Policy::hotspot: {
             hotspot_.validate();
+            WLANPS_REQUIRE_MSG(hotspot_.video_clients + hotspot_.web_clients <= stream_.clients,
+                               "HotspotConfig video_clients + web_clients (" +
+                                   std::to_string(hotspot_.video_clients +
+                                                  hotspot_.web_clients) +
+                                   ") exceed clients (" + std::to_string(stream_.clients) +
+                                   ") — raise clients or lower the mix");
+            if (hotspot_.bt_available) {
+                // Each piconet (one per sharded cell, else one in all) holds
+                // at most max_active slaves, and every client joins it.
+                const int shards = std::max(1, hotspot_.sharding.shards);
+                const int per_piconet = (stream_.clients + shards - 1) / shards;
+                const int max_active = bt::PiconetConfig{}.max_active;
+                WLANPS_REQUIRE_MSG(per_piconet <= max_active,
+                                   "one piconet holds at most " + std::to_string(max_active) +
+                                       " active slaves; " + std::to_string(per_piconet) +
+                                       " clients per piconet need bt_available = false "
+                                       "or more shards");
+            }
             break;
-        case Policy::hotspot_mixed:
-            hotspot_.validate();
-            break;
+        }
         case Policy::federation:
             fed_.validate();
             // The federation models clients as slab records, not device

@@ -4,15 +4,16 @@
 ///
 /// A ScenarioSpec is the single, validated, serializable unit of
 /// experiment description: which world runs (cam / bt / hotspot /
-/// hotspot_mixed / federation), the stream and world parameters (client
-/// count, duration, links, NIC calibration, fault plan), and the
-/// world-specific sub-configuration.  The WLAN station's power policy
-/// (cam, psm, ecmac, micro_nap, pamas) and its knobs live in one place,
-/// policy::PowerPolicyConfig, set on the cam world.  Any
-/// core::Backend (backend.hpp) — the discrete-event simulator or the
-/// closed-form analytic models — executes the *same* spec and returns the
-/// same ScenarioResult shape, so grids, benches, and the energy ledger
-/// export are backend-independent.
+/// federation), the stream and world parameters (client count, duration,
+/// links, NIC calibration, fault plan), and the world-specific
+/// sub-configuration.  A hotspot's client mix (stored MP3, live video,
+/// web) is two HotspotConfig counts, not a world of its own.  The WLAN
+/// station's power policy (cam, psm, ecmac, micro_nap, pamas) and its
+/// knobs live in one place, policy::PowerPolicyConfig, set on the cam
+/// world.  Any core::Backend (backend.hpp) — the discrete-event simulator
+/// or the closed-form analytic models — executes the *same* spec and
+/// returns the same ScenarioResult shape, so grids, benches, and the
+/// energy ledger export are backend-independent.
 
 #include <cstdint>
 #include <functional>
@@ -161,6 +162,14 @@ struct HotspotConfig {
     /// Invoked just before teardown for inspection (traces, reports).
     /// Simulation backend only.
     std::function<void(sim::Simulator&, HotspotServer&, std::vector<HotspotClient*>&)> inspect;
+    /// Heterogeneous client mix through the one server (paper §2): the
+    /// last web_clients client ids browse the web (bursty live ingest, no
+    /// playout — their qos reports the delivered share of what was
+    /// generated), the video_clients ids before them watch live VBR video
+    /// (~600 kb/s mean, too fast for Bluetooth), and the rest stream
+    /// stored MP3.  Incompatible with media_proxy and sharding.
+    int video_clients = 0;
+    int web_clients = 0;
     /// Sharded multi-cell execution (disabled by default).  Incompatible
     /// with the proxy/rejoin/fault machinery — validate() enforces it.
     ShardingConfig sharding;
@@ -190,6 +199,8 @@ struct HotspotConfig {
         sharding = v;
         return *this;
     }
+
+    [[nodiscard]] bool mixed() const { return video_clients > 0 || web_clients > 0; }
 
     void validate() const;
 };
@@ -318,30 +329,10 @@ struct FederationConfig {
     void validate() const;
 };
 
-/// Mixed heterogeneous workload through one Hotspot (paper intro: "most
-/// of wireless data traffic is targeted at the infrastructure"):
-///   * stored MP3 audio clients (as in Figure 2),
-///   * live VBR video clients (~600 kb/s mean — too fast for Bluetooth,
-///     the selector must put them on WLAN),
-///   * bursty web-browsing clients (live ingest, no playout QoS — their
-///     qos field reports the delivery ratio instead).
-struct MixedWorkload {
-    int mp3_clients = 2;
-    int video_clients = 1;
-    int web_clients = 1;
-
-    MixedWorkload& with_mp3(int v) { mp3_clients = v; return *this; }
-    MixedWorkload& with_video(int v) { video_clients = v; return *this; }
-    MixedWorkload& with_web(int v) { web_clients = v; return *this; }
-
-    [[nodiscard]] int total() const { return mp3_clients + video_clients + web_clients; }
-    void validate() const;
-};
-
 /// Which world a scenario builds.  The WLAN station's power policy (cam,
 /// psm, ecmac, micro_nap, pamas) is not a Policy: it is chosen on the cam
 /// world with with_power_policy().
-enum class Policy { cam, bt, hotspot, hotspot_mixed, federation };
+enum class Policy { cam, bt, hotspot, federation };
 
 /// One scenario, fully described: policy + stream/world parameters +
 /// policy-specific sub-config.  Fluent construction:
@@ -371,9 +362,6 @@ public:
     }
     [[nodiscard]] static ScenarioSpec bt() { return ScenarioSpec{Policy::bt}; }
     [[nodiscard]] static ScenarioSpec hotspot() { return ScenarioSpec{Policy::hotspot}; }
-    [[nodiscard]] static ScenarioSpec hotspot_mixed() {
-        return ScenarioSpec{Policy::hotspot_mixed};
-    }
     [[nodiscard]] static ScenarioSpec federation() {
         return ScenarioSpec{Policy::federation};
     }
@@ -420,11 +408,6 @@ public:
         hotspot_set_ = true;
         return *this;
     }
-    ScenarioSpec& with_mix(MixedWorkload mix) {
-        mix_ = mix;
-        mix_set_ = true;
-        return *this;
-    }
     ScenarioSpec& with_federation(FederationConfig config) {
         fed_ = std::move(config);
         fed_set_ = true;
@@ -444,17 +427,13 @@ public:
     [[nodiscard]] const StreamConfig& stream() const { return stream_; }
     [[nodiscard]] StreamConfig& stream() { return stream_; }
     [[nodiscard]] const HotspotConfig& hotspot_config() const { return hotspot_; }
-    [[nodiscard]] const MixedWorkload& mix() const { return mix_; }
     [[nodiscard]] const FederationConfig& federation_config() const { return fed_; }
     [[nodiscard]] bool has_power_policy() const { return power_set_; }
     [[nodiscard]] const policy::PowerPolicyConfig& power_policy_config() const { return power_; }
-    [[nodiscard]] int clients() const {
-        return policy_ == Policy::hotspot_mixed ? mix_.total() : stream_.clients;
-    }
-    [[nodiscard]] Time duration() const { return stream_.duration; }
 
     /// Scenario label matching the historical ScenarioResult labels
-    /// ("wlan-cam", "wlan-psm", "ec-mac", "bt-active", "hotspot-<sched>").
+    /// ("wlan-cam", "wlan-psm", "ec-mac", "bt-active", "hotspot-<sched>",
+    /// "hotspot-mixed-<sched>" with video/web clients).
     [[nodiscard]] std::string label() const;
 
     /// Reject structurally invalid or incoherent specs with a
@@ -468,13 +447,11 @@ private:
     Policy policy_ = Policy::cam;
     StreamConfig stream_;
     HotspotConfig hotspot_;
-    MixedWorkload mix_;
     FederationConfig fed_;
     policy::PowerPolicyConfig power_;
     // Sub-configs explicitly set via with_* — validate() rejects ones that
     // do not belong to the chosen policy.
     bool hotspot_set_ = false;
-    bool mix_set_ = false;
     bool fed_set_ = false;
     bool power_set_ = false;
 };

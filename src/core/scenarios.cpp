@@ -229,7 +229,17 @@ ScenarioResult sim_bt_active(const StreamConfig& config) {
     return result;
 }
 
-ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& options) {
+/// Mean rate of the default VBR video pattern (GOP of 12 at 25 fps).
+Rate video_mean_rate() {
+    const traffic::VideoSource::Config c;
+    const double bytes_per_gop = static_cast<double>(c.i_frame.bytes()) +
+                                 3.0 * static_cast<double>(c.p_frame.bytes()) +
+                                 8.0 * static_cast<double>(c.b_frame.bytes());
+    return Rate::from_bps(bytes_per_gop * 8.0 * c.fps / c.gop);
+}
+
+ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& options,
+                           std::string label) {
     WLANPS_REQUIRE(config.clients >= 1);
     WLANPS_REQUIRE_MSG(options.wlan_available || options.bt_available,
                        "at least one interface must be available");
@@ -253,6 +263,7 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
     std::map<ClientId, phy::WlanNic*> nic_of;
     std::map<ClientId, channel::WirelessLink*> wlink_of;
     std::map<ClientId, bt::SlaveId> sid_of;
+    std::map<ClientId, const traffic::Source*> web_source_of;
 
     HotspotServer server(sim,
                          ServerConfig{}
@@ -261,14 +272,38 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
                              .with_target_burst_period(options.target_burst_period)
                              .with_resilience(options.resilience),
                          make_scheduler(options.scheduler));
-    const bool stored = !options.media_proxy;
+    // Client mix by id: the first mp3_clients stream stored MP3 (or proxied
+    // A/V under media_proxy), then video_clients live VBR video, then
+    // web_clients web browsing.
+    const int mp3_clients = config.clients - options.video_clients - options.web_clients;
+    const int first_web = mp3_clients + options.video_clients;
+    // The Hotspot proxy streams stored/prefetched media: bursts are sized
+    // by the client buffer, not real-time arrival (paper §2).
+    const auto stored = [mp3_clients, proxied = options.media_proxy](ClientId id) {
+        return !proxied && static_cast<int>(id) <= mp3_clients;
+    };
+    const auto web = [first_web](ClientId id) { return static_cast<int>(id) > first_web; };
+    // Live feeds tolerate the client being unregistered (late join,
+    // crash, reclaim): content it misses is simply lost.
+    const auto live_sink = [&server](ClientId id) -> traffic::Sink {
+        return [&server, id](DataSize s) {
+            if (server.has_client(id)) server.ingest_sink(id)(s);
+        };
+    };
 
     for (int i = 0; i < config.clients; ++i) {
         const auto id = static_cast<ClientId>(i + 1);
+        const bool video = i >= mp3_clients && !web(id);
         QosContract contract;
-        if (options.media_proxy) {
-            // Live A/V through the proxy (thinned under adversity).
-            contract.stream_rate = options.proxy_config.av_rate;
+        if (web(id)) {
+            // Bursty, latency-tolerant; reserve a light trickle.
+            contract.stream_rate = Rate::from_kbps(64);
+        } else if (options.media_proxy || video) {
+            // Live A/V (through the proxy, thinned under adversity) or live
+            // VBR video: it consumes as fast as it arrives, so the client
+            // can never buffer more than its preroll — a deep preroll buys
+            // the long inter-burst sleeps.
+            contract.stream_rate = video ? video_mean_rate() : options.proxy_config.av_rate;
             contract.client_buffer = DataSize::from_kilobytes(4096);
             contract.preroll = Time::from_seconds(6);
         } else {
@@ -305,24 +340,23 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
         join_at.push_back(plan.registration_at(id));
         if (join_at.back().is_zero()) {
             server.register_client(*client);
-            // The Hotspot proxy streams stored/prefetched media: bursts are
-            // sized by the client buffer, not real-time arrival (paper §2).
-            if (stored) server.set_stored_content(id, true);
+            if (stored(id)) server.set_stored_content(id, true);
         }
         if (options.media_proxy) {
-            // The downstream sink tolerates the client being unregistered
-            // (crashed/reclaimed): live content it misses is simply lost.
-            auto proxy = std::make_unique<MediaProxy>(
-                sim, *client,
-                [&server, id](DataSize s) {
-                    if (server.has_client(id)) server.ingest_sink(id)(s);
-                },
-                options.proxy_config);
+            auto proxy = std::make_unique<MediaProxy>(sim, *client, live_sink(id),
+                                                      options.proxy_config);
             // 600 kb/s-class A/V feed: ~3 KB chunks at the A/V rate.
             sources.push_back(std::make_unique<traffic::PoissonSource>(
                 sim, proxy->ingest_sink(), DataSize::from_bytes(3000),
                 options.proxy_config.av_rate, root.fork(500 + i)));
             proxies.push_back(std::move(proxy));
+        } else if (video) {
+            sources.push_back(std::make_unique<traffic::VideoSource>(
+                sim, live_sink(id), traffic::VideoSource::Config{}, root.fork(500 + i)));
+        } else if (web(id)) {
+            sources.push_back(std::make_unique<traffic::WebSource>(
+                sim, live_sink(id), traffic::WebSource::Config{}, root.fork(500 + i)));
+            web_source_of[id] = sources.back().get();
         }
         clients.push_back(std::move(client));
     }
@@ -347,7 +381,7 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
                 sim, server, *clients[i], options.rejoin,
                 root.fork(910 + static_cast<std::uint64_t>(i))));
             agents.back()->set_on_rejoined([&server, stored](ClientId cid) {
-                if (stored) server.set_stored_content(cid, true);
+                if (stored(cid)) server.set_stored_content(cid, true);
             });
         }
         server.set_on_client_lost([&agents](ClientId cid) {
@@ -358,10 +392,10 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
     // Late joiners: the device shows up mid-run and asks for admission.
     for (std::size_t i = 0; i < clients.size(); ++i) {
         if (join_at[i].is_zero()) continue;
-        sim.post_at(join_at[i], [&server, &agents, stored, c = clients[i].get()] {
+        sim.post_at(join_at[i], [&server, &agents, stored, web, c = clients[i].get()] {
             if (server.try_register(*c)) {
-                if (stored) server.set_stored_content(c->id(), true);
-                c->playout().start();
+                if (stored(c->id())) server.set_stored_content(c->id(), true);
+                if (!web(c->id())) c->playout().start();
             } else if (c->id() >= 1 && c->id() <= agents.size()) {
                 agents[c->id() - 1]->on_lost();  // keep trying with backoff
             }
@@ -426,7 +460,7 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
 
     if (options.on_start) options.on_start(sim, server, raw);
     for (std::size_t i = 0; i < clients.size(); ++i) {
-        clients[i]->start(/*start_playout=*/join_at[i].is_zero());
+        clients[i]->start(/*start_playout=*/join_at[i].is_zero() && !web(clients[i]->id()));
     }
     for (auto& p : proxies) p->start();
     for (auto& s : sources) s->start();
@@ -440,10 +474,20 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
     if (options.inspect) options.inspect(sim, server, raw);
 
     ScenarioResult result;
-    result.label = "hotspot-" + options.scheduler;
+    result.label = std::move(label);
     for (auto& c : clients) {
-        result.clients.push_back(make_client_metrics(c->wnic_average_power(), c->wnic_energy(),
-                                              c->playout(), c->bytes_received()));
+        ClientMetrics m = make_client_metrics(c->wnic_average_power(), c->wnic_energy(),
+                                              c->playout(), c->bytes_received());
+        if (web(c->id())) {
+            // No playout: report the delivered share of what was generated.
+            const DataSize generated = web_source_of.at(c->id())->bytes_generated();
+            m.qos = generated.is_zero()
+                        ? 1.0
+                        : std::min(1.0, static_cast<double>(m.received.bytes()) /
+                                            static_cast<double>(generated.bytes()));
+            m.underruns = 0;
+        }
+        result.clients.push_back(m);
     }
     result.recovery = server.recovery_report();
     for (auto& a : agents) {
@@ -453,156 +497,6 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
     }
     for (auto& p : proxies) result.degradation.push_back(p->report());
     if (injector) result.faults_injected = injector->injected_total();
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& nic : wlan_nics) nic->publish_metrics(*reg, "phy.wlan");
-        for (auto& s : slaves) s->nic().publish_metrics(*reg, "phy.bt");
-    }
-    record_client_obs(result);
-    record_kernel_obs(sim);
-    return result;
-}
-
-ScenarioResult sim_hotspot_mixed(const StreamConfig& config, const HotspotConfig& options,
-                                 MixedWorkload mix) {
-    WLANPS_REQUIRE(mix.mp3_clients >= 0 && mix.video_clients >= 0 && mix.web_clients >= 0);
-    const int total = mix.mp3_clients + mix.video_clients + mix.web_clients;
-    WLANPS_REQUIRE(total >= 1);
-    WLANPS_REQUIRE_MSG(mix.mp3_clients + mix.video_clients + mix.web_clients <= 7,
-                       "one piconet supports at most 7 active slaves");
-
-    sim::Simulator sim;
-    sim::Random root(config.seed);
-    bt::Piconet piconet(sim, bt::PiconetConfig{}, root.fork(100));
-
-    std::vector<std::unique_ptr<HotspotClient>> clients;
-    std::vector<std::unique_ptr<phy::WlanNic>> wlan_nics;
-    std::vector<std::unique_ptr<channel::WirelessLink>> wlan_links;
-    std::vector<std::unique_ptr<bt::BtSlave>> slaves;
-    std::vector<std::unique_ptr<traffic::Source>> sources;
-    enum class Kind { mp3, video, web };
-    std::vector<Kind> kinds;
-
-    HotspotServer server(sim,
-                         ServerConfig{}
-                             .with_target_burst(options.target_burst)
-                             .with_utilization_cap(options.utilization_cap)
-                             .with_target_burst_period(options.target_burst_period),
-                         make_scheduler(options.scheduler));
-
-    // Mean rate of the default VBR video pattern (GOP of 12 at 25 fps).
-    const traffic::VideoSource::Config video_cfg;
-    const double video_bytes_per_gop =
-        static_cast<double>(video_cfg.i_frame.bytes()) +
-        3.0 * static_cast<double>(video_cfg.p_frame.bytes()) +
-        8.0 * static_cast<double>(video_cfg.b_frame.bytes());
-    const Rate video_rate =
-        Rate::from_bps(video_bytes_per_gop * 8.0 * video_cfg.fps / video_cfg.gop);
-
-    auto build_client = [&](ClientId id, Kind kind) {
-        QosContract contract;
-        switch (kind) {
-            case Kind::mp3:
-                contract.stream_rate = phy::calibration::kMp3Rate;
-                break;
-            case Kind::video:
-                contract.stream_rate = video_rate;
-                contract.client_buffer = DataSize::from_kilobytes(4096);
-                // Live VBR consumes as fast as it arrives, so the client
-                // can never buffer more than its preroll: a deep preroll
-                // buys the long inter-burst sleeps.
-                contract.preroll = Time::from_seconds(6);
-                break;
-            case Kind::web:
-                // Bursty, latency-tolerant; reserve a light trickle.
-                contract.stream_rate = Rate::from_kbps(64);
-                break;
-        }
-        auto client = std::make_unique<HotspotClient>(sim, id, contract);
-        auto nic = std::make_unique<phy::WlanNic>(sim, config.wlan_nic,
-                                                  phy::WlanNic::State::idle);
-        auto link = std::make_unique<channel::WirelessLink>(config.wlan_link,
-                                                            root.fork(300 + id));
-        client->add_channel(std::make_unique<WlanBurstChannel>(sim, *nic, link.get()));
-        wlan_nics.push_back(std::move(nic));
-        wlan_links.push_back(std::move(link));
-
-        auto slave = std::make_unique<bt::BtSlave>(sim, config.bt_nic,
-                                                   phy::BtNic::State::active);
-        const bt::SlaveId sid = piconet.join(*slave);
-        piconet.set_link(sid, config.bt_link, root.fork(400 + id));
-        client->add_channel(std::make_unique<BtBurstChannel>(piconet, sid, *slave));
-        slaves.push_back(std::move(slave));
-
-        server.register_client(*client);
-        switch (kind) {
-            case Kind::mp3:
-                server.set_stored_content(id, true);
-                break;
-            case Kind::video:
-                sources.push_back(std::make_unique<traffic::VideoSource>(
-                    sim, server.ingest_sink(id), video_cfg, root.fork(500 + id)));
-                break;
-            case Kind::web:
-                sources.push_back(std::make_unique<traffic::WebSource>(
-                    sim, server.ingest_sink(id), traffic::WebSource::Config{},
-                    root.fork(500 + id)));
-                break;
-        }
-        kinds.push_back(kind);
-        clients.push_back(std::move(client));
-    };
-
-    ClientId next_id = 1;
-    for (int i = 0; i < mix.mp3_clients; ++i) build_client(next_id++, Kind::mp3);
-    for (int i = 0; i < mix.video_clients; ++i) build_client(next_id++, Kind::video);
-    for (int i = 0; i < mix.web_clients; ++i) build_client(next_id++, Kind::web);
-
-    std::vector<HotspotClient*> raw;
-    raw.reserve(clients.size());
-    for (auto& c : clients) raw.push_back(c.get());
-
-    if (obs::EnergyLedger* led = obs::current_ledger()) {
-        for (auto& c : clients) {
-            for (BurstChannel* ch : c->channels()) {
-                ch->wnic().attach_ledger(led, static_cast<std::uint32_t>(c->id()));
-            }
-        }
-    }
-
-    if (options.on_start) options.on_start(sim, server, raw);
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-        clients[i]->start(/*start_playout=*/kinds[i] != Kind::web);
-    }
-    for (auto& s : sources) s->start();
-    server.start();
-    sim.run_until(config.duration);
-    for (auto& c : clients) {
-        for (BurstChannel* ch : c->channels()) ch->wnic().settle_ledger();
-    }
-
-    if (options.inspect) options.inspect(sim, server, raw);
-
-    ScenarioResult result;
-    result.label = "hotspot-mixed-" + options.scheduler;
-    std::size_t source_index = 0;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-        ClientMetrics m = make_client_metrics(clients[i]->wnic_average_power(),
-                                       clients[i]->wnic_energy(), clients[i]->playout(),
-                                       clients[i]->bytes_received());
-        if (kinds[i] != Kind::mp3) {
-            // Live-ingest clients: relate delivery to generation.
-            const traffic::Source& src = *sources[source_index++];
-            if (kinds[i] == Kind::web) {
-                const auto generated = src.bytes_generated();
-                m.qos = generated.is_zero()
-                            ? 1.0
-                            : std::min(1.0, static_cast<double>(m.received.bytes()) /
-                                                static_cast<double>(generated.bytes()));
-                m.underruns = 0;
-            }
-        }
-        result.clients.push_back(m);
-    }
     if (obs::MetricsRegistry* reg = obs::current()) {
         for (auto& nic : wlan_nics) nic->publish_metrics(*reg, "phy.wlan");
         for (auto& s : slaves) s->nic().publish_metrics(*reg, "phy.bt");
@@ -703,9 +597,7 @@ ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) 
             if (spec.hotspot_config().sharding.enabled()) {
                 return sim_sharded_hotspot(config, spec.hotspot_config());
             }
-            return sim_hotspot(config, spec.hotspot_config());
-        case Policy::hotspot_mixed:
-            return sim_hotspot_mixed(config, spec.hotspot_config(), spec.mix());
+            return sim_hotspot(config, spec.hotspot_config(), spec.label());
         case Policy::federation:
             return fed::run_federation(spec, seed).scenario;
     }

@@ -249,8 +249,11 @@ TEST(AnalyticBackendTest, RejectsEcmacWithActionableReason) {
     EXPECT_THROW((void)analytic.run(spec), ContractViolation);
 }
 
-TEST(AnalyticBackendTest, RejectsMixedWorkloads) {
-    const auto spec = core::ScenarioSpec::hotspot_mixed().with_stream(stream(2, 60));
+TEST(AnalyticBackendTest, RejectsVideoAndWebClients) {
+    core::HotspotConfig mix;
+    mix.video_clients = 1;
+    mix.web_clients = 1;
+    const auto spec = core::ScenarioSpec::hotspot().with_stream(stream(2, 60)).with_hotspot(mix);
     EXPECT_NE(analytic.unsupported_reason(spec).find("sim backend"), std::string::npos);
     EXPECT_THROW((void)analytic.run(spec), ContractViolation);
 }
@@ -357,6 +360,46 @@ TEST(ScenarioSpecValidation, RejectsHotspotWithNoInterfaces) {
         core::ScenarioSpec::hotspot().with_stream(stream(1, 60)).with_hotspot(neither);
     EXPECT_THROW((void)analytic.run(spec), ContractViolation);
     EXPECT_THROW((void)sim.run(spec), ContractViolation);
+}
+
+TEST(ScenarioSpecValidation, RejectsMoreClientsThanAPiconetHolds) {
+    // Every hotspot client joins the one piconet (one per cell when
+    // sharded), which holds at most 7 active slaves.
+    const auto eight = core::ScenarioSpec::hotspot().with_stream(stream(8, 60));
+    EXPECT_THROW(eight.validate(), ContractViolation);
+    auto no_bt = eight;
+    no_bt.with_hotspot(core::HotspotConfig{}.with_bt_available(false));
+    EXPECT_NO_THROW(no_bt.validate());
+    auto two_cells = eight;
+    two_cells.with_hotspot(core::HotspotConfig{}.with_sharding(
+        core::ShardingConfig{}.with_shards(2)));
+    EXPECT_NO_THROW(two_cells.validate());
+    auto fifteen = two_cells;
+    fifteen.with_clients(15);  // 8 in one of the two cells
+    EXPECT_THROW(fifteen.validate(), ContractViolation);
+}
+
+TEST(ScenarioSpecValidation, RejectsBadClientMix) {
+    auto mix = [](int video, int web) {
+        core::HotspotConfig h;
+        h.video_clients = video;
+        h.web_clients = web;
+        return h;
+    };
+    auto hotspot = [](int clients, core::HotspotConfig h) {
+        return core::ScenarioSpec::hotspot().with_stream(stream(clients, 60)).with_hotspot(h);
+    };
+    EXPECT_NO_THROW(hotspot(4, mix(1, 1)).validate());
+    EXPECT_NO_THROW(hotspot(2, mix(1, 1)).validate());
+    EXPECT_THROW(hotspot(4, mix(-1, 1)).validate(), ContractViolation);
+    EXPECT_THROW(hotspot(4, mix(1, -1)).validate(), ContractViolation);
+    EXPECT_THROW(hotspot(1, mix(1, 1)).validate(), ContractViolation);  // 2 > 1 client
+    EXPECT_THROW(hotspot(3, mix(3, 1)).validate(), ContractViolation);
+    EXPECT_THROW(hotspot(4, mix(1, 0).with_media_proxy(core::MediaProxy::Config{})).validate(),
+                 ContractViolation);
+    EXPECT_THROW(
+        hotspot(4, mix(0, 1).with_sharding(core::ShardingConfig{}.with_shards(2))).validate(),
+        ContractViolation);
 }
 
 // ---- sim <-> analytic cross-validation ---------------------------------------------

@@ -135,26 +135,22 @@ TEST(DecisionLogTest, RecordsPlannedBursts) {
     EXPECT_GT(f.server.decisions().back().at, f.server.decisions().front().at);
 }
 
-TEST(MixedWorkloadTest, VideoGoesToWlanAudioToBt) {
+TEST(HotspotMixTest, VideoGoesToWlanAudioToBt) {
     StreamConfig config;
-    config.clients = 0;  // ignored by the mixed runner
+    config.clients = 4;  // 2 MP3, then 1 video, then 1 web
     config.duration = Time::from_seconds(60);
-    MixedWorkload mix;
-    mix.mp3_clients = 2;
-    mix.video_clients = 1;
-    mix.web_clients = 1;
 
     std::size_t video_channel = 99, mp3_channel = 99;
     HotspotConfig options;
+    options.video_clients = 1;
+    options.web_clients = 1;
     options.inspect = [&](sim::Simulator&, HotspotServer& server,
                           std::vector<HotspotClient*>&) {
         mp3_channel = server.report(1).current_channel;     // first MP3 client
         video_channel = server.report(3).current_channel;   // the video client
     };
-    const auto result = SimBackend{}.run(ScenarioSpec::hotspot_mixed()
-                                             .with_stream(config)
-                                             .with_hotspot(options)
-                                             .with_mix(mix));
+    const auto result =
+        SimBackend{}.run(ScenarioSpec::hotspot().with_stream(config).with_hotspot(options));
 
     ASSERT_EQ(result.clients.size(), 4u);
     // Channel 0 = WLAN, channel 1 = BT (registration order in the builder).
@@ -173,11 +169,15 @@ TEST(MixedWorkloadTest, VideoGoesToWlanAudioToBt) {
     EXPECT_LT(result.clients[2].wnic_average.watts(), 0.5);
 }
 
-TEST(MixedWorkloadTest, AllClientsFarBelowAlwaysOn) {
+TEST(HotspotMixTest, AllClientsFarBelowAlwaysOn) {
     StreamConfig config;
+    config.clients = 4;
     config.duration = Time::from_seconds(60);
+    HotspotConfig mix;
+    mix.video_clients = 1;
+    mix.web_clients = 1;
     const auto result =
-        SimBackend{}.run(ScenarioSpec::hotspot_mixed().with_stream(config));
+        SimBackend{}.run(ScenarioSpec::hotspot().with_stream(config).with_hotspot(mix));
     for (const auto& c : result.clients) {
         EXPECT_LT(c.wnic_average.watts(), 0.45);  // vs 0.84 W always-on WLAN
     }

@@ -66,8 +66,12 @@ TEST(DeterminismTest, Hotspot) {
 }
 
 TEST(DeterminismTest, HotspotMixed) {
-    const auto spec =
-        ScenarioSpec::hotspot_mixed().with_stream(quick(9)).with_mix(MixedWorkload{});
+    HotspotConfig mix;
+    mix.video_clients = 1;
+    mix.web_clients = 1;
+    auto config = quick(9);
+    config.clients = 4;
+    const auto spec = ScenarioSpec::hotspot().with_stream(config).with_hotspot(mix);
     expect_identical(backend.run(spec), backend.run(spec));
 }
 

@@ -333,15 +333,32 @@ TEST(LedgerReconcileTest, HotspotMixed) {
     core::StreamConfig config;
     config.clients = 3;
     config.duration = 45_s;
-    core::MixedWorkload mix;
-    mix.mp3_clients = 1;
+    core::HotspotConfig mix;
     mix.video_clients = 1;
     mix.web_clients = 1;
     obs::EnergyLedger led;
     obs::ScopedEnergyLedger scope(led);
-    expect_reconciles(led, backend.run(core::ScenarioSpec::hotspot_mixed()
-                                           .with_stream(config)
-                                           .with_mix(mix)));
+    expect_reconciles(
+        led, backend.run(core::ScenarioSpec::hotspot().with_stream(config).with_hotspot(mix)));
+}
+
+TEST(LedgerReconcileTest, HotspotMixedUnderFaults) {
+    // The video and web clients ride the same fault hooks as MP3 clients:
+    // crash the video client, then black out every WLAN link.
+    core::StreamConfig config;
+    config.clients = 3;
+    config.duration = 60_s;
+    config.fault_plan.client_crash(15_s, 10_s, 2).blackout(35_s, 5_s, 0,
+                                                             fault::FaultSpec::Itf::wlan);
+    core::HotspotConfig mix;
+    mix.video_clients = 1;
+    mix.web_clients = 1;
+    obs::EnergyLedger led;
+    obs::ScopedEnergyLedger scope(led);
+    const auto result =
+        backend.run(core::ScenarioSpec::hotspot().with_stream(config).with_hotspot(mix));
+    EXPECT_EQ(result.faults_injected, 2u);
+    expect_reconciles(led, result);
 }
 
 TEST(LedgerReconcileTest, HotspotUnderCrashAndScheduleDrops) {
