@@ -18,7 +18,6 @@
 #include "core/backend.hpp"
 #include "core/scenario_spec.hpp"
 #include "mac/access_point.hpp"
-#include "mac/station.hpp"
 #include "policy/world.hpp"
 #include "traffic/source.hpp"
 
@@ -40,13 +39,13 @@ void listening_fraction() {
     mac::AccessPointConfig ap_cfg;
     ap_cfg.mode = mac::ApMode::cam;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(1));
-    mac::StationConfig st_cfg;
-    st_cfg.mode = mac::StationMode::cam;
-    mac::WlanStation st(sim, bss, 1, st_cfg, mac::DcfConfig{}, phy::WlanNicConfig{},
-                        root.fork(2));
+    policy::CamPolicy cam;
+    policy::PolicyStation st(sim, bss, ap, 1, cam,
+                             policy::PowerPolicyConfig::of(policy::PolicyKind::cam),
+                             mac::DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
     traffic::Mp3Source src(sim, [&ap](DataSize s) { ap.send(1, s); });
     ap.start();
-    st.start(ap.config().beacon_interval, ap.config().beacon_interval);
+    st.start();
     src.start();
     sim.run_until(Time::from_seconds(60));
 

@@ -15,7 +15,7 @@
 
 #include "bench_util.hpp"
 #include "mac/access_point.hpp"
-#include "mac/station.hpp"
+#include "policy/station.hpp"
 
 using namespace wlanps;
 namespace bu = benchutil;
@@ -39,13 +39,13 @@ Outcome run(int stations, bool rts, Time duration = Time::from_seconds(5)) {
     ap_cfg.mode = mac::ApMode::cam;
     mac::AccessPoint ap(sim, bss, ap_cfg, dcf, root.fork(1));
 
-    std::vector<std::unique_ptr<mac::WlanStation>> sta;
+    policy::CamPolicy cam;  // never touches the radio, so one serves every station
+    const auto cam_config = policy::PowerPolicyConfig::of(policy::PolicyKind::cam);
+    std::vector<std::unique_ptr<policy::PolicyStation>> sta;
     for (int i = 0; i < stations; ++i) {
-        mac::StationConfig st_cfg;
-        st_cfg.mode = mac::StationMode::cam;
-        sta.push_back(std::make_unique<mac::WlanStation>(
-            sim, bss, static_cast<mac::StationId>(i + 1), st_cfg, dcf, phy::WlanNicConfig{},
-            root.fork(static_cast<std::uint64_t>(10 + i))));
+        sta.push_back(std::make_unique<policy::PolicyStation>(
+            sim, bss, ap, static_cast<mac::StationId>(i + 1), cam, cam_config, dcf,
+            phy::WlanNicConfig{}, root.fork(static_cast<std::uint64_t>(10 + i))));
     }
 
     // Saturated uplink: every station re-sends on completion.

@@ -1,9 +1,9 @@
 /// \file psm_comparison.cpp
 /// MAC-level power saving on a bursty web workload: always-awake (CAM)
 /// versus 802.11 PSM at several listen intervals, built directly on the
-/// mac:: substrate API (AccessPoint / WlanStation / Bss) rather than the
-/// scenario helpers — shows how to assemble a BSS by hand, and how to put
-/// a hand-rolled world on the parallel ExperimentRunner (each listen
+/// mac:: substrate (AccessPoint / Bss) and a policy::PolicyStation rather
+/// than the scenario helpers — shows how to assemble a BSS by hand, and how
+/// to put a hand-rolled world on the parallel ExperimentRunner (each listen
 /// interval is one grid point).
 ///
 /// Build & run:  ./build/examples/psm_comparison
@@ -15,7 +15,7 @@
 
 #include "exp/runner.hpp"
 #include "mac/access_point.hpp"
-#include "mac/station.hpp"
+#include "policy/station.hpp"
 #include "traffic/source.hpp"
 
 using namespace wlanps;
@@ -28,20 +28,19 @@ struct Outcome {
     std::uint64_t frames;
 };
 
-Outcome run(mac::StationMode mode, int listen_interval, std::uint64_t seed) {
+Outcome run(policy::PolicyKind kind, int listen_interval, std::uint64_t seed) {
     sim::Simulator sim;
     sim::Random root(seed);
 
     mac::Bss bss(sim);
     mac::AccessPointConfig ap_cfg;
-    ap_cfg.mode = mode == mac::StationMode::cam ? mac::ApMode::cam : mac::ApMode::psm;
+    ap_cfg.mode = kind == policy::PolicyKind::cam ? mac::ApMode::cam : mac::ApMode::psm;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(1));
 
-    mac::StationConfig st_cfg;
-    st_cfg.mode = mode;
-    st_cfg.listen_interval = listen_interval;
-    mac::WlanStation station(sim, bss, /*id=*/1, st_cfg, mac::DcfConfig{},
-                             phy::WlanNicConfig{}, root.fork(2));
+    const auto config = policy::PowerPolicyConfig::of(kind).with_psm(listen_interval, 1);
+    const auto power_policy = policy::make_power_policy(config);
+    policy::PolicyStation station(sim, bss, ap, /*id=*/1, *power_policy, config,
+                                  mac::DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
     bss.set_link(1, channel::GilbertElliottConfig{}, root.fork(3));
 
     // Bursty web browsing: Pareto ON/OFF download pattern.
@@ -49,7 +48,7 @@ Outcome run(mac::StationMode mode, int listen_interval, std::uint64_t seed) {
                               traffic::WebSource::Config{}, root.fork(4));
 
     ap.start();
-    station.start(ap.config().beacon_interval, ap.config().beacon_interval);
+    station.start();
     source.start();
     sim.run_until(Time::from_seconds(120));
 
@@ -70,21 +69,21 @@ int main() {
     // Grid: CAM plus one point per PSM listen interval; one seed.
     struct Cell {
         std::string label;
-        mac::StationMode mode;
+        policy::PolicyKind kind;
         int listen_interval;
     };
     const std::vector<Cell> grid = {
-        {"CAM (always awake)", mac::StationMode::cam, 1},
-        {"PSM, listen interval 1", mac::StationMode::psm, 1},
-        {"PSM, listen interval 2", mac::StationMode::psm, 2},
-        {"PSM, listen interval 5", mac::StationMode::psm, 5},
-        {"PSM, listen interval 10", mac::StationMode::psm, 10},
+        {"CAM (always awake)", policy::PolicyKind::cam, 1},
+        {"PSM, listen interval 1", policy::PolicyKind::psm, 1},
+        {"PSM, listen interval 2", policy::PolicyKind::psm, 2},
+        {"PSM, listen interval 5", policy::PolicyKind::psm, 5},
+        {"PSM, listen interval 10", policy::PolicyKind::psm, 10},
     };
 
     exp::ExperimentSpec spec;
     spec.with_run([&grid](const exp::ParamPoint& point, std::uint64_t seed) {
             const Cell& cell = grid[point.index];
-            const Outcome out = run(cell.mode, cell.listen_interval, seed);
+            const Outcome out = run(cell.kind, cell.listen_interval, seed);
             return exp::Metrics{{"nic_w", out.nic_power.watts()},
                                 {"delay_ms", out.mean_delay_ms},
                                 {"frames", static_cast<double>(out.frames)}};

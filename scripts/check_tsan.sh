@@ -18,7 +18,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DWLANPS_SANITIZE=thread -DWLANPS_OBS=ON -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target exp_runner_test sim_simulator_test sim_calendar_queue_test obs_test \
-    sim_sharded_test fed_federation_test obs_health_test
+    sim_sharded_test fed_federation_test obs_health_test policy_determinism_test
 "./$BUILD_DIR/tests/exp_runner_test"
 "./$BUILD_DIR/tests/sim_simulator_test"
 "./$BUILD_DIR/tests/sim_calendar_queue_test"
@@ -37,4 +37,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # across-thread bit-identity tests run that handoff at 1/2/4 workers
 # with watchdog sweeps live.
 "./$BUILD_DIR/tests/obs_health_test"
+# Policy worlds (psm, μNap, PAMAS stations behind one AP) run one per
+# shard at 0/1/2/4 workers, each with its own energy ledger.
+"./$BUILD_DIR/tests/policy_determinism_test"
 echo "TSan check passed."

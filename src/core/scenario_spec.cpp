@@ -24,6 +24,16 @@ bool known_scheduler(const std::string& name) {
                        [&](const char* n) { return name == n; });
 }
 
+/// A piconet holds at most max_active slaves; \p remedy says how to get
+/// \p per_piconet clients under that.
+void check_piconet_fits(int per_piconet, const char* remedy) {
+    const int max_active = bt::PiconetConfig{}.max_active;
+    WLANPS_REQUIRE_MSG(per_piconet <= max_active,
+                       "one piconet holds at most " + std::to_string(max_active) +
+                           " active slaves; " + std::to_string(per_piconet) +
+                           " clients per piconet need " + remedy);
+}
+
 /// Per-power-policy fault whitelist: each WLAN station build routes a
 /// different subset of the injector hooks, so reject the rest before arm()
 /// would.
@@ -42,6 +52,8 @@ void check_fault_hooks(const std::string& label, policy::PolicyKind kind,
                        "(nic-lockup, wake-stuck, blackout, corruption)";
                 break;
             case policy::PolicyKind::psm:
+                // Narrower than the hooks its world binds: PSM's beacon
+                // cycle has not been checked under phy faults.
                 supported = f.kind == fault::FaultKind::beacon_loss ||
                             f.kind == fault::FaultKind::poll_drop ||
                             f.kind == fault::FaultKind::blackout ||
@@ -374,6 +386,8 @@ void ScenarioSpec::validate() const {
             break;
         }
         case Policy::bt:
+            // sim_bt_active joins every client to one piconet.
+            check_piconet_fits(stream_.clients, "fewer clients");
             break;
         case Policy::hotspot: {
             hotspot_.validate();
@@ -384,16 +398,11 @@ void ScenarioSpec::validate() const {
                                    ") exceed clients (" + std::to_string(stream_.clients) +
                                    ") — raise clients or lower the mix");
             if (hotspot_.bt_available) {
-                // Each piconet (one per sharded cell, else one in all) holds
-                // at most max_active slaves, and every client joins it.
+                // One piconet per sharded cell, else one in all; every
+                // client joins it.
                 const int shards = std::max(1, hotspot_.sharding.shards);
-                const int per_piconet = (stream_.clients + shards - 1) / shards;
-                const int max_active = bt::PiconetConfig{}.max_active;
-                WLANPS_REQUIRE_MSG(per_piconet <= max_active,
-                                   "one piconet holds at most " + std::to_string(max_active) +
-                                       " active slaves; " + std::to_string(per_piconet) +
-                                       " clients per piconet need bt_available = false "
-                                       "or more shards");
+                check_piconet_fits((stream_.clients + shards - 1) / shards,
+                                   "bt_available = false or more shards");
             }
             break;
         }

@@ -12,7 +12,6 @@
 #include "fed/federation.hpp"
 #include "mac/access_point.hpp"
 #include "mac/ecmac.hpp"
-#include "mac/station.hpp"
 #include "obs/energy_ledger.hpp"
 #include "obs/hooks.hpp"
 #include "policy/world.hpp"
@@ -51,81 +50,6 @@ void bind_wlan_fault_window(fault::FaultInjector& injector, sim::Simulator& sim,
             apply(static_cast<mac::StationId>(client));
         }
     };
-}
-
-ScenarioResult sim_wlan_psm(const StreamConfig& config, const policy::PowerPolicyConfig& power) {
-    WLANPS_REQUIRE(config.clients >= 1);
-    WLANPS_REQUIRE(power.psm_listen_interval >= 1);
-    WLANPS_REQUIRE(power.psm_aggregate_limit >= 1);
-    sim::Simulator sim;
-    sim::Random root(config.seed);
-    mac::Bss bss(sim);
-    mac::AccessPointConfig ap_cfg;
-    ap_cfg.mode = mac::ApMode::psm;
-    ap_cfg.beacon_interval = power.beacon_interval;
-    ap_cfg.aggregate_limit = power.psm_aggregate_limit;
-    mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(100));
-
-    std::vector<std::unique_ptr<mac::WlanStation>> stations;
-    std::vector<std::unique_ptr<traffic::PlayoutBuffer>> playouts;
-    std::vector<std::unique_ptr<traffic::Mp3Source>> sources;
-
-    for (int i = 0; i < config.clients; ++i) {
-        const auto id = static_cast<mac::StationId>(i + 1);
-        mac::StationConfig st_cfg;
-        st_cfg.mode = mac::StationMode::psm;
-        st_cfg.listen_interval = power.psm_listen_interval;
-        auto st = std::make_unique<mac::WlanStation>(sim, bss, id, st_cfg, mac::DcfConfig{},
-                                                     config.wlan_nic, root.fork(200 + i));
-        if (obs::EnergyLedger* led = obs::current_ledger()) {
-            st->wlan_nic().attach_ledger(led, static_cast<std::uint32_t>(id));
-        }
-        bss.set_link(id, config.wlan_link, root.fork(300 + i));
-        auto playout = std::make_unique<traffic::PlayoutBuffer>(sim, mp3_playout());
-        st->set_receive_callback(
-            [p = playout.get()](DataSize size, Time) { p->on_data(size); });
-        auto src = std::make_unique<traffic::Mp3Source>(
-            sim, [&ap, id](DataSize size) { ap.send(id, size); });
-        stations.push_back(std::move(st));
-        playouts.push_back(std::move(playout));
-        sources.push_back(std::move(src));
-    }
-
-    // Fault injection: MAC faults exercise the stations' existing beacon-
-    // and poll-timeout recovery; link faults ride the per-station links.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!config.fault_plan.empty()) {
-        injector = std::make_unique<fault::FaultInjector>(sim, config.fault_plan,
-                                                          root.fork(900));
-        injector->mac().beacon_loss = [&ap](Time until) { ap.suppress_beacons(until); };
-        injector->mac().poll_drop = [&ap, &root](double p, Time until) {
-            ap.inject_poll_drop(p, until, root.fork(901));
-        };
-        bind_wlan_fault_window(*injector, sim, bss, config.clients);
-    }
-
-    ap.start();
-    for (auto& st : stations) st->start(ap.config().beacon_interval, ap.config().beacon_interval);
-    for (auto& p : playouts) p->start();
-    for (auto& s : sources) s->start();
-    if (injector) injector->arm();
-    sim.run_until(config.duration);
-    for (auto& st : stations) st->wlan_nic().settle_ledger();
-
-    ScenarioResult result;
-    result.label = "wlan-psm";
-    if (injector) result.faults_injected = injector->injected_total();
-    for (std::size_t i = 0; i < stations.size(); ++i) {
-        result.clients.push_back(make_client_metrics(stations[i]->average_power(),
-                                              stations[i]->energy_consumed(), *playouts[i],
-                                              stations[i]->bytes_received()));
-    }
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& st : stations) st->wlan_nic().publish_metrics(*reg, "phy.wlan");
-    }
-    record_client_obs(result);
-    record_kernel_obs(sim);
-    return result;
 }
 
 ScenarioResult sim_ecmac(const StreamConfig& config, Time superframe) {
@@ -513,7 +437,7 @@ ScenarioResult sim_policy_bss(const StreamConfig& config,
                               const policy::PowerPolicyConfig& power, std::string label) {
     WLANPS_REQUIRE(config.clients >= 1);
     sim::Simulator sim;
-    sim::Random root(config.seed);  // world forks 100/200+i/300+i; injector 900
+    sim::Random root(config.seed);  // world forks 100/200+i/300+i; injector 900/901
 
     policy::PolicyWorldConfig wc;
     wc.clients = config.clients;
@@ -530,6 +454,9 @@ ScenarioResult sim_policy_bss(const StreamConfig& config,
                                                           root.fork(900));
         injector->mac().beacon_loss = [&world](Time until) {
             world.ap().suppress_beacons(until);
+        };
+        injector->mac().poll_drop = [&world, &root](double p, Time until) {
+            world.ap().inject_poll_drop(p, until, root.fork(901));
         };
         injector->phy().nic_lockup = [&world, &config](std::uint32_t target, Time until) {
             for (int i = 0; i < config.clients; ++i) {
@@ -583,9 +510,9 @@ ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) 
                 spec.has_power_policy() ? spec.power_policy_config()
                                         : policy::PowerPolicyConfig::of(policy::PolicyKind::cam);
             switch (power.kind) {
-                case policy::PolicyKind::psm: return sim_wlan_psm(config, power);
                 case policy::PolicyKind::ecmac: return sim_ecmac(config, power.ecmac_superframe);
                 case policy::PolicyKind::cam:
+                case policy::PolicyKind::psm:
                 case policy::PolicyKind::micro_nap:
                 case policy::PolicyKind::pamas:
                     return sim_policy_bss(config, power, spec.label());

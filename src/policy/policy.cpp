@@ -76,8 +76,9 @@ std::unique_ptr<PowerPolicy> make_power_policy(const PowerPolicyConfig& config) 
         case PolicyKind::pamas:
             return std::make_unique<PamasPolicy>(config.pamas);
         case PolicyKind::psm:
+            return std::make_unique<PsmPolicy>(config.psm_listen_interval);
         case PolicyKind::ecmac:
-            return nullptr;  // psm and ecmac run on the MAC's own stations
+            return nullptr;  // ecmac runs on the MAC's own stations
     }
     return nullptr;
 }

@@ -4,10 +4,11 @@
 /// its knobs are chosen (core::ScenarioSpec::with_power_policy;
 /// ScenarioSpec::psm() and ecmac() are shorthands for it).
 ///
-/// Five kinds are selectable.  Three run on the policy station
-/// (PolicyBssWorld): cam, micro_nap and pamas.  Two run on the MAC's own
-/// stations: psm (TIM beacons + PS-Polls) and ecmac (a centrally broadcast
-/// superframe schedule).  A single `--policy=<name>` axis sweeps them all.
+/// Five kinds are selectable.  Four run on the policy station
+/// (PolicyBssWorld): cam, psm (TIM beacons + PS-Polls), micro_nap and
+/// pamas.  ecmac (a centrally broadcast superframe schedule) runs on the
+/// MAC's own EC-MAC stations.  A single `--policy=<name>` axis sweeps them
+/// all.
 
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@
 #include "policy/micro_nap.hpp"
 #include "policy/pamas_policy.hpp"
 #include "policy/power_policy.hpp"
+#include "sim/assert.hpp"
 
 namespace wlanps::policy {
 
@@ -25,6 +27,21 @@ namespace wlanps::policy {
 class CamPolicy final : public PowerPolicy {
 public:
     [[nodiscard]] std::string_view name() const override { return "cam"; }
+};
+
+/// 802.11 PSM: doze between beacons, wake for every listen_interval-th
+/// one, and retrieve TIM-flagged traffic with PS-Polls.  PolicyStation's
+/// beacon-driven shape runs the cycle; no hook puts the radio to sleep.
+class PsmPolicy final : public PowerPolicy {
+public:
+    explicit PsmPolicy(int listen_interval = 1) : listen_interval_(listen_interval) {
+        WLANPS_REQUIRE(listen_interval >= 1);
+    }
+    [[nodiscard]] std::string_view name() const override { return "psm"; }
+    [[nodiscard]] int listen_interval() const override { return listen_interval_; }
+
+private:
+    int listen_interval_;
 };
 
 /// Selectable power-saving policy.
@@ -48,7 +65,7 @@ struct PowerPolicyConfig {
     /// AP beacon interval (every kind but ecmac).
     Time beacon_interval = phy::calibration::kWlanBeaconInterval;
 
-    // --- MAC-station knobs (kind == psm / ecmac) -----------------------
+    // --- psm / ecmac knobs ---------------------------------------------
     /// Beacons between a psm station's TIM checks.
     int psm_listen_interval = 1;
     /// >1 enables MAC-level aggregation (several MSDUs per PS-Poll).
@@ -58,8 +75,8 @@ struct PowerPolicyConfig {
     // --- optional uplink workload --------------------------------------
     /// When positive, each station also sends a small uplink frame every
     /// period — this exercises the DCF backoff path (and μNap's backoff
-    /// naps) on otherwise downlink-only streaming scenarios.  Only the
-    /// policy-station kinds (cam, micro_nap, pamas) run it.
+    /// naps) on otherwise downlink-only streaming scenarios.  Only cam,
+    /// micro_nap and pamas run it; validate() refuses it for psm and ecmac.
     Time uplink_period = Time::zero();
     DataSize uplink_size = DataSize::from_bytes(200);
 
@@ -91,9 +108,8 @@ struct PowerPolicyConfig {
     void validate() const;
 };
 
-/// Instantiate the policy object for \p config.  The policy-station kinds
-/// (cam, micro_nap, pamas) have policy objects; psm and ecmac run on the
-/// MAC's own stations and return nullptr here.
+/// Instantiate the policy object for \p config.  Every policy-station kind
+/// has one; ecmac runs on the MAC's own stations and returns nullptr here.
 [[nodiscard]] std::unique_ptr<PowerPolicy> make_power_policy(const PowerPolicyConfig& config);
 
 }  // namespace wlanps::policy

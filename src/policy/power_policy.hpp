@@ -11,8 +11,9 @@
 /// The interface deliberately sits below mac/ in the layering: it depends
 /// only on sim/ and phy/, so mac::Bss and mac::DcfTransmitter can drive
 /// the hooks through a forward-declared pointer without a dependency
-/// cycle.  Concrete policies (micro_nap.hpp, pamas_policy.hpp) and the
-/// policy-driven station live in the wlanps_policy library above mac/.
+/// cycle.  Concrete policies (policy.hpp, micro_nap.hpp, pamas_policy.hpp)
+/// and the policy-driven station live in the wlanps_policy library above
+/// mac/.
 
 #include <functional>
 #include <string_view>
@@ -75,10 +76,14 @@ public:
     virtual void on_host_wake() {}
 
     /// Duty-cycle period the station should sleep between activity
-    /// checks, or zero for policies that stay associated and listening
-    /// (CAM-like, μNap).  Re-queried every cycle so the policy can adapt
+    /// checks, or zero for policies that do not duty-cycle (CAM, PSM,
+    /// μNap).  Re-queried every cycle so the policy can adapt
     /// it (PAMAS stretches it as the battery drains).
     [[nodiscard]] virtual Time sleep_quantum() const { return Time::zero(); }
+
+    /// Beacons between TIM checks for a policy that dozes on the AP's
+    /// beacon grid (802.11 PSM), or zero for every other policy.
+    [[nodiscard]] virtual int listen_interval() const { return 0; }
 
 protected:
     sim::Simulator* sim_ = nullptr;

@@ -32,17 +32,19 @@ PolicyBssWorld::PolicyBssWorld(sim::Simulator& sim, PolicyWorldConfig config,
           [&] {
               mac::AccessPointConfig c;
               c.beacon_interval = config_.policy.beacon_interval;
-              // Duty-cycling stations need the AP to buffer for them.
-              c.mode = config_.policy.kind == PolicyKind::pamas ? mac::ApMode::psm
-                                                                : mac::ApMode::cam;
+              // Dozing stations (psm, pamas) need the AP to buffer for them.
+              const PolicyKind kind = config_.policy.kind;
+              c.mode = kind == PolicyKind::psm || kind == PolicyKind::pamas
+                           ? mac::ApMode::psm
+                           : mac::ApMode::cam;
+              if (kind == PolicyKind::psm) c.aggregate_limit = config_.policy.psm_aggregate_limit;
               return c;
           }(),
           mac::DcfConfig{}, ap_rng(config_.seed)) {
     WLANPS_REQUIRE(config_.clients >= 1);
-    WLANPS_REQUIRE_MSG(config_.policy.kind != PolicyKind::psm &&
-                           config_.policy.kind != PolicyKind::ecmac,
-                       "PolicyBssWorld runs cam, micro_nap and pamas; psm and ecmac "
-                       "run on the MAC's own stations");
+    WLANPS_REQUIRE_MSG(config_.policy.kind != PolicyKind::ecmac,
+                       "PolicyBssWorld runs cam, psm, micro_nap and pamas; ecmac runs "
+                       "on the MAC's own EC-MAC stations");
     config_.policy.validate();
 
     sim::Random root(config_.seed);

@@ -3,8 +3,8 @@
 /// Reusable policy-BSS world: one AP + N policy-driven stations streaming
 /// MP3, buildable into an external Simulator.
 ///
-/// The core scenario layer builds one of these per cam, micro_nap and
-/// pamas run; the determinism tests build one per shard of a
+/// The core scenario layer builds one of these per cam, psm, micro_nap
+/// and pamas run; the determinism tests build one per shard of a
 /// ShardedSimulator (the world only needs a Simulator&, so it drops into
 /// either).  Energy attribution takes an explicit ledger pointer — the
 /// thread-local obs::current_ledger() is invisible to sharded worker
@@ -30,7 +30,7 @@ namespace wlanps::policy {
 struct PolicyWorldConfig {
     int clients = 3;
     std::uint64_t seed = 42;
-    /// Must be a policy-station kind (cam, micro_nap or pamas).
+    /// Any kind but ecmac (cam, psm, micro_nap or pamas).
     PowerPolicyConfig policy;
     phy::WlanNicConfig nic;
     channel::GilbertElliottConfig link;

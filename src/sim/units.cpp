@@ -26,8 +26,8 @@ std::string Time::str() const {
 std::ostream& operator<<(std::ostream& os, Time t) { return os << t.str(); }
 
 std::string DataSize::str() const {
-    if (bits_ % 8 != 0) return format(static_cast<double>(bits_), "b");
-    const auto b = static_cast<double>(bytes());
+    // A size that is not a whole number of bytes prints a fractional byte.
+    const double b = static_cast<double>(bits_) / 8.0;
     if (b < 1024.0) return format(b, "B");
     if (b < 1024.0 * 1024.0) return format(b / 1024.0, "KB");
     return format(b / (1024.0 * 1024.0), "MB");

@@ -379,6 +379,14 @@ TEST(ScenarioSpecValidation, RejectsMoreClientsThanAPiconetHolds) {
     EXPECT_THROW(fifteen.validate(), ContractViolation);
 }
 
+TEST(ScenarioSpecValidation, RejectsMoreBtClientsThanAPiconetHolds) {
+    // bt-active joins every client to one piconet: 8 must fail in
+    // validate(), not mid-build in Piconet::join.
+    EXPECT_NO_THROW(core::ScenarioSpec::bt().with_stream(stream(7, 60)).validate());
+    EXPECT_THROW(core::ScenarioSpec::bt().with_stream(stream(8, 60)).validate(),
+                 ContractViolation);
+}
+
 TEST(ScenarioSpecValidation, RejectsBadClientMix) {
     auto mix = [](int video, int web) {
         core::HotspotConfig h;

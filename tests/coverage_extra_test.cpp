@@ -38,7 +38,7 @@ TEST(FormatTest, DataSizeAndRateStrings) {
     EXPECT_EQ(DataSize::from_bytes(500).str(), "500B");
     EXPECT_EQ(DataSize::from_kilobytes(48).str(), "48KB");
     EXPECT_EQ(DataSize::from_kilobytes(2048).str(), "2MB");
-    EXPECT_EQ(DataSize::from_bits(12).str(), "12b");  // not byte-aligned
+    EXPECT_EQ(DataSize::from_bits(12).str(), "1.5B");  // not byte-aligned
     EXPECT_EQ(Rate::from_kbps(128).str(), "128kb/s");
     EXPECT_EQ(Rate::from_mbps(11).str(), "11Mb/s");
     EXPECT_EQ(Rate::from_bps(500).str(), "500b/s");

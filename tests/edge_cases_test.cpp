@@ -7,8 +7,8 @@
 #include "core/scheduler.hpp"
 #include "mac/access_point.hpp"
 #include "mac/ecmac.hpp"
-#include "mac/station.hpp"
 #include "net/probing.hpp"
+#include "policy/station.hpp"
 #include "power/state_machine.hpp"
 #include "sim/simulator.hpp"
 
@@ -91,11 +91,11 @@ TEST(EdgeMac, PsmStationSurvivesMissingBeacons) {
     mac::AccessPointConfig ap_cfg;
     ap_cfg.mode = mac::ApMode::psm;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(1));
-    mac::StationConfig st_cfg;
-    st_cfg.mode = mac::StationMode::psm;
-    mac::WlanStation st(sim, bss, 1, st_cfg, mac::DcfConfig{}, phy::WlanNicConfig{},
-                        root.fork(2));
-    st.start(ap.config().beacon_interval, ap.config().beacon_interval);  // no ap.start()
+    policy::PsmPolicy psm;
+    policy::PolicyStation st(sim, bss, ap, 1, psm,
+                             policy::PowerPolicyConfig::of(policy::PolicyKind::psm),
+                             mac::DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
+    st.start();  // no ap.start()
     sim.run_until(Time::from_seconds(10));
     EXPECT_EQ(st.beacons_heard(), 0u);
     EXPECT_LT(st.average_power().watts(), 0.30);  // wake+timeout duty only
@@ -111,10 +111,10 @@ TEST(EdgeMac, ApNullResponseToStalePoll) {
     mac::AccessPointConfig ap_cfg;
     ap_cfg.mode = mac::ApMode::psm;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(1));
-    mac::StationConfig st_cfg;
-    st_cfg.mode = mac::StationMode::cam;  // stays awake so we can poll manually
-    mac::WlanStation st(sim, bss, 1, st_cfg, mac::DcfConfig{}, phy::WlanNicConfig{},
-                        root.fork(2));
+    policy::CamPolicy cam;  // stays awake so we can poll manually
+    policy::PolicyStation st(sim, bss, ap, 1, cam,
+                             policy::PowerPolicyConfig::of(policy::PolicyKind::cam),
+                             mac::DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
     mac::Frame poll;
     poll.kind = mac::FrameKind::ps_poll;
     poll.src = 1;

@@ -9,7 +9,7 @@
 #include "mac/access_point.hpp"
 #include "mac/bss.hpp"
 #include "mac/ecmac.hpp"
-#include "mac/station.hpp"
+#include "policy/station.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/source.hpp"
 
@@ -17,6 +17,8 @@ namespace wlanps::mac {
 namespace {
 
 using namespace time_literals;
+using policy::PolicyKind;
+using policy::PolicyStation;
 
 TEST(FairnessTest, SaturatedDcfSharesAirtimeEvenly) {
     // Classic CSMA/CA property: N identical saturated uplink stations get
@@ -29,16 +31,16 @@ TEST(FairnessTest, SaturatedDcfSharesAirtimeEvenly) {
     AccessPoint ap(sim, bss, cfg, DcfConfig{}, root.fork(1));
 
     const int n = 4;
-    std::vector<std::unique_ptr<WlanStation>> stations;
+    policy::CamPolicy cam;
+    const auto cam_config = policy::PowerPolicyConfig::of(PolicyKind::cam);
+    std::vector<std::unique_ptr<PolicyStation>> stations;
     std::vector<std::int64_t> delivered(n, 0);
     // Owners of the resend loops; each loop holds only a weak_ptr to itself.
     std::vector<std::shared_ptr<std::function<void(bool)>>> loops;
     for (int i = 0; i < n; ++i) {
-        StationConfig st;
-        st.mode = StationMode::cam;
-        stations.push_back(std::make_unique<WlanStation>(
-            sim, bss, static_cast<StationId>(i + 1), st, DcfConfig{}, phy::WlanNicConfig{},
-            root.fork(static_cast<std::uint64_t>(10 + i))));
+        stations.push_back(std::make_unique<PolicyStation>(
+            sim, bss, ap, static_cast<StationId>(i + 1), cam, cam_config, DcfConfig{},
+            phy::WlanNicConfig{}, root.fork(static_cast<std::uint64_t>(10 + i))));
         auto* station = stations.back().get();
         auto again = std::make_shared<std::function<void(bool)>>();
         *again = [station, &sim, &delivered, i,
@@ -77,23 +79,22 @@ TEST(FairnessTest, PsmServesAllStationsEachBeaconInterval) {
     cfg.mode = ApMode::psm;
     AccessPoint ap(sim, bss, cfg, DcfConfig{}, root.fork(1));
     const int n = 4;
-    std::vector<std::unique_ptr<WlanStation>> stations;
+    const auto psm_config = policy::PowerPolicyConfig::of(PolicyKind::psm);
+    std::vector<std::unique_ptr<policy::PsmPolicy>> policies;
+    std::vector<std::unique_ptr<PolicyStation>> stations;
     std::vector<std::unique_ptr<traffic::PoissonSource>> sources;
     for (int i = 0; i < n; ++i) {
-        StationConfig st;
-        st.mode = StationMode::psm;
-        stations.push_back(std::make_unique<WlanStation>(
-            sim, bss, static_cast<StationId>(i + 1), st, DcfConfig{}, phy::WlanNicConfig{},
-            root.fork(static_cast<std::uint64_t>(10 + i))));
+        policies.push_back(std::make_unique<policy::PsmPolicy>());
+        stations.push_back(std::make_unique<PolicyStation>(
+            sim, bss, ap, static_cast<StationId>(i + 1), *policies.back(), psm_config,
+            DcfConfig{}, phy::WlanNicConfig{}, root.fork(static_cast<std::uint64_t>(10 + i))));
         const auto id = static_cast<StationId>(i + 1);
         sources.push_back(std::make_unique<traffic::PoissonSource>(
             sim, [&ap, id](DataSize s) { ap.send(id, s); }, DataSize::from_bytes(800),
             Rate::from_kbps(32), root.fork(static_cast<std::uint64_t>(20 + i))));
     }
     ap.start();
-    for (auto& st : stations) {
-        st->start(ap.config().beacon_interval, ap.config().beacon_interval);
-    }
+    for (auto& st : stations) st->start();
     for (auto& s : sources) s->start();
     sim.run_until(Time::from_seconds(30));
 

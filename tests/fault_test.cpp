@@ -14,7 +14,7 @@
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
 #include "mac/access_point.hpp"
-#include "mac/station.hpp"
+#include "policy/station.hpp"
 #include "sim/assert.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -225,10 +225,10 @@ TEST(FaultSurfaceTest, ApBeaconSuppressionRidesBeaconTimeout) {
     mac::AccessPointConfig ap_cfg;
     ap_cfg.mode = mac::ApMode::psm;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(1));
-    mac::StationConfig st_cfg;
-    st_cfg.mode = mac::StationMode::psm;
-    mac::WlanStation st(sim, bss, 1, st_cfg, mac::DcfConfig{}, phy::WlanNicConfig{},
-                        root.fork(2));
+    policy::PsmPolicy psm;
+    policy::PolicyStation st(sim, bss, ap, 1, psm,
+                             policy::PowerPolicyConfig::of(policy::PolicyKind::psm),
+                             mac::DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
     bss.set_link(1, channel::GilbertElliottConfig{800_ms, 40_ms, 1e-7, 1e-4}, root.fork(3));
 
     int sent = 0, delivered = 0;
@@ -238,7 +238,7 @@ TEST(FaultSurfaceTest, ApBeaconSuppressionRidesBeaconTimeout) {
     }, DataSize::from_bytes(1400), Rate::from_kbps(64), root.fork(4));
 
     ap.start();
-    st.start(ap.config().beacon_interval, ap.config().beacon_interval);
+    st.start();
     src.start();
     sim.post_at(20_s, [&] { ap.suppress_beacons(25_s); });
     sim.run_until(Time::from_seconds(60));
@@ -257,10 +257,10 @@ TEST(FaultSurfaceTest, ApPollDropRetriedByPollTimeout) {
     mac::AccessPointConfig ap_cfg;
     ap_cfg.mode = mac::ApMode::psm;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(1));
-    mac::StationConfig st_cfg;
-    st_cfg.mode = mac::StationMode::psm;
-    mac::WlanStation st(sim, bss, 1, st_cfg, mac::DcfConfig{}, phy::WlanNicConfig{},
-                        root.fork(2));
+    policy::PsmPolicy psm;
+    policy::PolicyStation st(sim, bss, ap, 1, psm,
+                             policy::PowerPolicyConfig::of(policy::PolicyKind::psm),
+                             mac::DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
     bss.set_link(1, channel::GilbertElliottConfig{800_ms, 40_ms, 1e-7, 1e-4}, root.fork(3));
 
     int sent = 0, delivered = 0;
@@ -270,7 +270,7 @@ TEST(FaultSurfaceTest, ApPollDropRetriedByPollTimeout) {
     }, DataSize::from_bytes(1400), Rate::from_kbps(64), root.fork(4));
 
     ap.start();
-    st.start(ap.config().beacon_interval, ap.config().beacon_interval);
+    st.start();
     src.start();
     ap.inject_poll_drop(0.5, 40_s, root.fork(9));
     sim.run_until(Time::from_seconds(60));

@@ -12,7 +12,7 @@
 #include "core/client.hpp"
 #include "core/server.hpp"
 #include "mac/access_point.hpp"
-#include "mac/station.hpp"
+#include "policy/station.hpp"
 #include "power/state_machine.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -75,14 +75,15 @@ TEST_P(Fuzz, DcfConservation) {
     mac::AccessPointConfig ap_cfg;
     ap_cfg.mode = mac::ApMode::cam;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, rng.fork(1));
-    std::vector<std::unique_ptr<mac::WlanStation>> stations;
+    policy::CamPolicy cam;
+    const auto cam_config = policy::PowerPolicyConfig::of(policy::PolicyKind::cam);
+    std::vector<std::unique_ptr<policy::PolicyStation>> stations;
     const int n = static_cast<int>(rng.uniform_int(1, 4));
     for (int i = 0; i < n; ++i) {
-        mac::StationConfig st;
-        st.mode = mac::StationMode::cam;
-        stations.push_back(std::make_unique<mac::WlanStation>(
-            sim, bss, static_cast<mac::StationId>(i + 1), st, mac::DcfConfig{},
-            phy::WlanNicConfig{}, rng.fork(static_cast<std::uint64_t>(10 + i))));
+        stations.push_back(std::make_unique<policy::PolicyStation>(
+            sim, bss, ap, static_cast<mac::StationId>(i + 1), cam, cam_config,
+            mac::DcfConfig{}, phy::WlanNicConfig{},
+            rng.fork(static_cast<std::uint64_t>(10 + i))));
         if (rng.chance(0.5)) {
             channel::GilbertElliottConfig ge;
             ge.ber_bad = rng.uniform(0.0, 3e-4);

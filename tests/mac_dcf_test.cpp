@@ -9,7 +9,7 @@
 #include "mac/bss.hpp"
 #include "mac/dcf.hpp"
 #include "mac/medium.hpp"
-#include "mac/station.hpp"
+#include "policy/station.hpp"
 #include "sim/assert.hpp"
 #include "sim/simulator.hpp"
 
@@ -17,6 +17,7 @@ namespace wlanps::mac {
 namespace {
 
 using namespace time_literals;
+using policy::PolicyStation;
 
 // ---- Medium -----------------------------------------------------------------
 
@@ -100,18 +101,18 @@ struct World {
     sim::Random root{99};
     Bss bss{sim};
     std::unique_ptr<AccessPoint> ap;
-    std::vector<std::unique_ptr<WlanStation>> stations;
+    policy::CamPolicy cam;
+    std::vector<std::unique_ptr<PolicyStation>> stations;
 
     explicit World(int n_stations, ApMode mode = ApMode::cam) {
         AccessPointConfig cfg;
         cfg.mode = mode;
         ap = std::make_unique<AccessPoint>(sim, bss, cfg, DcfConfig{}, root.fork(1));
         for (int i = 0; i < n_stations; ++i) {
-            StationConfig st;
-            st.mode = StationMode::cam;
-            stations.push_back(std::make_unique<WlanStation>(
-                sim, bss, static_cast<StationId>(i + 1), st, DcfConfig{}, phy::WlanNicConfig{},
-                root.fork(static_cast<std::uint64_t>(10 + i))));
+            stations.push_back(std::make_unique<PolicyStation>(
+                sim, bss, *ap, static_cast<StationId>(i + 1), cam,
+                policy::PowerPolicyConfig::of(policy::PolicyKind::cam), DcfConfig{},
+                phy::WlanNicConfig{}, root.fork(static_cast<std::uint64_t>(10 + i))));
         }
     }
 };
@@ -225,9 +226,11 @@ TEST(BssTest, DuplicateStationIdThrows) {
     Bss bss(sim);
     AccessPointConfig cfg;
     AccessPoint ap(sim, bss, cfg, DcfConfig{}, root.fork(1));
-    StationConfig st;
-    WlanStation a(sim, bss, 1, st, DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
-    EXPECT_THROW(WlanStation(sim, bss, 1, st, DcfConfig{}, phy::WlanNicConfig{}, root.fork(3)),
+    policy::CamPolicy cam;
+    const auto st = policy::PowerPolicyConfig::of(policy::PolicyKind::cam);
+    PolicyStation a(sim, bss, ap, 1, cam, st, DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
+    EXPECT_THROW(PolicyStation(sim, bss, ap, 1, cam, st, DcfConfig{}, phy::WlanNicConfig{},
+                               root.fork(3)),
                  ContractViolation);
 }
 
@@ -235,9 +238,11 @@ TEST(BssTest, ReservedStationIdsThrow) {
     sim::Simulator sim;
     sim::Random root(1);
     Bss bss(sim);
-    StationConfig st;
-    EXPECT_THROW(WlanStation(sim, bss, kApId, st, DcfConfig{}, phy::WlanNicConfig{},
-                             root.fork(2)),
+    AccessPoint ap(sim, bss, AccessPointConfig{}, DcfConfig{}, root.fork(1));
+    policy::CamPolicy cam;
+    const auto st = policy::PowerPolicyConfig::of(policy::PolicyKind::cam);
+    EXPECT_THROW(PolicyStation(sim, bss, ap, kApId, cam, st, DcfConfig{}, phy::WlanNicConfig{},
+                               root.fork(2)),
                  ContractViolation);
 }
 

@@ -9,9 +9,9 @@
 
 #include "mac/access_point.hpp"
 #include "mac/bss.hpp"
-#include "mac/station.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
+#include "policy/station.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/source.hpp"
 
@@ -19,13 +19,16 @@ namespace wlanps::mac {
 namespace {
 
 using namespace time_literals;
+using policy::PolicyKind;
+using policy::PolicyStation;
 
 struct PsmWorld {
     sim::Simulator sim;
     sim::Random root{7};
     Bss bss{sim};
     std::unique_ptr<AccessPoint> ap;
-    std::vector<std::unique_ptr<WlanStation>> stations;
+    std::vector<std::unique_ptr<policy::PowerPolicy>> policies;
+    std::vector<std::unique_ptr<PolicyStation>> stations;
 
     explicit PsmWorld(int n_stations, int listen_interval = 1, int aggregate_limit = 1) {
         AccessPointConfig cfg;
@@ -33,20 +36,23 @@ struct PsmWorld {
         cfg.aggregate_limit = aggregate_limit;
         ap = std::make_unique<AccessPoint>(sim, bss, cfg, DcfConfig{}, root.fork(1));
         for (int i = 0; i < n_stations; ++i) {
-            StationConfig st;
-            st.mode = StationMode::psm;
-            st.listen_interval = listen_interval;
-            stations.push_back(std::make_unique<WlanStation>(
-                sim, bss, static_cast<StationId>(i + 1), st, DcfConfig{}, phy::WlanNicConfig{},
-                root.fork(static_cast<std::uint64_t>(10 + i))));
+            add_station(PolicyKind::psm, listen_interval,
+                        root.fork(static_cast<std::uint64_t>(10 + i)));
         }
+    }
+
+    void add_station(PolicyKind kind, int listen_interval, sim::Random rng) {
+        const auto config = policy::PowerPolicyConfig::of(kind).with_psm(listen_interval, 1);
+        policies.push_back(policy::make_power_policy(config));
+        const auto id = static_cast<StationId>(stations.size() + 1);
+        stations.push_back(std::make_unique<PolicyStation>(sim, bss, *ap, id, *policies.back(),
+                                                           config, DcfConfig{},
+                                                           phy::WlanNicConfig{}, rng));
     }
 
     void start() {
         ap->start();
-        for (auto& s : stations) {
-            s->start(ap->config().beacon_interval, ap->config().beacon_interval);
-        }
+        for (auto& s : stations) s->start();
     }
 };
 
@@ -62,19 +68,16 @@ TEST(PsmTest, BeaconsAreSentOnSchedule) {
 #if defined(WLANPS_OBS_ENABLED)
 TEST(PsmTest, OnlyPsmStationsCountPsmBeacons) {
     // A CAM station hears every beacon too, but mac.psm.* is PSM's counter.
-    for (const StationMode mode : {StationMode::cam, StationMode::psm}) {
+    for (const PolicyKind kind : {PolicyKind::cam, PolicyKind::psm}) {
         obs::MetricsRegistry reg;
         obs::ScopedRegistry scope(reg);
         PsmWorld w(0);
-        StationConfig st;
-        st.mode = mode;
-        w.stations.push_back(std::make_unique<WlanStation>(
-            w.sim, w.bss, 1, st, DcfConfig{}, phy::WlanNicConfig{}, w.root.fork(10)));
+        w.add_station(kind, 1, w.root.fork(10));
         w.start();
         w.sim.run_until(Time::from_seconds(1.1));
         ASSERT_GE(w.stations[0]->beacons_heard(), 9u);
         EXPECT_EQ(reg.counter("mac.psm.beacons_heard").value(),
-                  mode == StationMode::psm ? w.stations[0]->beacons_heard() : 0u);
+                  kind == PolicyKind::psm ? w.stations[0]->beacons_heard() : 0u);
     }
 }
 #endif  // WLANPS_OBS_ENABLED
@@ -211,11 +214,11 @@ TEST(PsmTest, CamApDeliversImmediatelyToPsmStationOnlyWhenAwake) {
     DcfConfig dcf;
     dcf.retry_limit = 1;  // deterministic: one attempt, before any wakeup
     AccessPoint ap(sim, bss, cfg, dcf, root.fork(1));
-    StationConfig st;
-    st.mode = StationMode::psm;
-    WlanStation station(sim, bss, 1, st, DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
+    policy::PsmPolicy psm;
+    PolicyStation station(sim, bss, ap, 1, psm, policy::PowerPolicyConfig::of(PolicyKind::psm),
+                          DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
     ap.start();
-    station.start(cfg.beacon_interval, cfg.beacon_interval);
+    station.start();
     sim.run_until(50_ms);  // dozing between beacons
     bool delivered = true;
     ap.send(1, DataSize::from_bytes(500), [&](bool ok) { delivered = ok; });

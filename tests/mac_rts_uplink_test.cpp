@@ -8,31 +8,33 @@
 
 #include "mac/access_point.hpp"
 #include "mac/bss.hpp"
-#include "mac/station.hpp"
+#include "policy/station.hpp"
 #include "sim/simulator.hpp"
 
 namespace wlanps::mac {
 namespace {
 
 using namespace time_literals;
+using policy::PolicyKind;
 
 struct UplinkWorld {
     sim::Simulator sim;
     sim::Random root{31};
     Bss bss{sim};
     std::unique_ptr<AccessPoint> ap;
-    std::vector<std::unique_ptr<WlanStation>> stations;
+    std::vector<std::unique_ptr<policy::PowerPolicy>> policies;
+    std::vector<std::unique_ptr<policy::PolicyStation>> stations;
 
-    UplinkWorld(int n_stations, DcfConfig dcf, StationMode mode = StationMode::cam) {
+    UplinkWorld(int n_stations, DcfConfig dcf, PolicyKind kind = PolicyKind::cam) {
         AccessPointConfig cfg;
-        cfg.mode = mode == StationMode::cam ? ApMode::cam : ApMode::psm;
+        cfg.mode = kind == PolicyKind::cam ? ApMode::cam : ApMode::psm;
         ap = std::make_unique<AccessPoint>(sim, bss, cfg, dcf, root.fork(1));
+        const auto config = policy::PowerPolicyConfig::of(kind);
         for (int i = 0; i < n_stations; ++i) {
-            StationConfig st;
-            st.mode = mode;
-            stations.push_back(std::make_unique<WlanStation>(
-                sim, bss, static_cast<StationId>(i + 1), st, dcf, phy::WlanNicConfig{},
-                root.fork(static_cast<std::uint64_t>(10 + i))));
+            policies.push_back(policy::make_power_policy(config));
+            stations.push_back(std::make_unique<policy::PolicyStation>(
+                sim, bss, *ap, static_cast<StationId>(i + 1), *policies.back(), config, dcf,
+                phy::WlanNicConfig{}, root.fork(static_cast<std::uint64_t>(10 + i))));
         }
     }
 };
@@ -49,9 +51,9 @@ TEST(UplinkTest, CamStationSendsToAp) {
 }
 
 TEST(UplinkTest, PsmStationWakesSendsAndDozes) {
-    UplinkWorld w(1, DcfConfig{}, StationMode::psm);
+    UplinkWorld w(1, DcfConfig{}, PolicyKind::psm);
     w.ap->start();
-    w.stations[0]->start(w.ap->config().beacon_interval, w.ap->config().beacon_interval);
+    w.stations[0]->start();
     w.sim.run_until(50_ms);  // dozing
     ASSERT_FALSE(w.stations[0]->wlan_nic().awake());
     bool delivered = false;

@@ -1,5 +1,5 @@
 /// Determinism tests for the policy-BSS worlds on the sharded kernel:
-/// under the strict barrier policy, a grid of micro_nap/pamas worlds (one
+/// under the strict barrier policy, a grid of psm/micro_nap/pamas worlds (one
 /// per shard, each with its own seed and energy ledger) must end in a
 /// bit-identical state at every worker-thread count, and different seeds
 /// must actually move the fingerprint (the digest is not a constant).
@@ -87,11 +87,21 @@ TEST(PolicyDeterminismTest, PamasGridIsBitIdenticalAcrossThreadCounts) {
     }
 }
 
+TEST(PolicyDeterminismTest, PsmGridIsBitIdenticalAcrossThreadCounts) {
+    const std::uint64_t reference = run_policy_grid(PolicyKind::psm, 0, 42);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        EXPECT_EQ(run_policy_grid(PolicyKind::psm, threads, 42), reference)
+            << "threads=" << threads;
+    }
+}
+
 TEST(PolicyDeterminismTest, SeedsActuallyMoveTheFingerprint) {
     EXPECT_NE(run_policy_grid(PolicyKind::micro_nap, 0, 42),
               run_policy_grid(PolicyKind::micro_nap, 0, 1042));
     EXPECT_NE(run_policy_grid(PolicyKind::pamas, 0, 42),
               run_policy_grid(PolicyKind::pamas, 0, 1042));
+    EXPECT_NE(run_policy_grid(PolicyKind::psm, 0, 42),
+              run_policy_grid(PolicyKind::psm, 0, 1042));
 }
 
 TEST(PolicyDeterminismTest, RepeatedRunsReproduceExactly) {

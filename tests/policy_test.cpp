@@ -68,6 +68,22 @@ TEST(PowerPolicySelectionTest, ParseRejectsUnknownNameListingValidOnes) {
     }
 }
 
+TEST(PowerPolicySelectionTest, EveryKindButEcmacHasAPolicyObject) {
+    for (const auto kind : {policy::PolicyKind::cam, policy::PolicyKind::psm,
+                            policy::PolicyKind::micro_nap, policy::PolicyKind::pamas}) {
+        const auto made = policy::make_power_policy(policy::PowerPolicyConfig::of(kind));
+        ASSERT_NE(made, nullptr) << policy::to_string(kind);
+        EXPECT_EQ(made->name(), policy::to_string(kind));
+    }
+    const auto ecmac = policy::PowerPolicyConfig::of(policy::PolicyKind::ecmac);
+    EXPECT_EQ(policy::make_power_policy(ecmac), nullptr);
+    // psm carries its listen interval to the station's beacon-driven shape.
+    EXPECT_EQ(policy::make_power_policy(
+                  policy::PowerPolicyConfig::of(policy::PolicyKind::psm).with_psm(5, 1))
+                  ->listen_interval(),
+              5);
+}
+
 TEST(PowerPolicySelectionTest, LabelsFollowTheSelectedKind) {
     using policy::PolicyKind;
     using policy::PowerPolicyConfig;
@@ -501,8 +517,8 @@ TEST(PolicyFaultTest, WhitelistsFollowEachPolicysDependencies) {
 }
 
 TEST(PolicyFaultTest, NativePsmRejectsUnboundKindsLikeTheAdapter) {
-    // The psm station build binds no phy hooks: psm must refuse a
-    // nic_lockup plan at validate(), not later inside arm().
+    // psm's whitelist leaves out the phy kinds: it must refuse a
+    // nic_lockup plan at validate(), not later inside the run.
     fault::FaultPlan lockup;
     lockup.nic_lockup(Time::from_seconds(1), Time::from_seconds(2));
     try {

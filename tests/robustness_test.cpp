@@ -15,7 +15,7 @@
 #include "core/scenario_spec.hpp"
 #include "core/server.hpp"
 #include "mac/access_point.hpp"
-#include "mac/station.hpp"
+#include "policy/station.hpp"
 #include "traffic/source.hpp"
 
 namespace wlanps {
@@ -68,10 +68,10 @@ TEST(BadChannelTest, PsmDeliversMostTrafficOverLossyLink) {
     mac::AccessPointConfig ap_cfg;
     ap_cfg.mode = mac::ApMode::psm;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(1));
-    mac::StationConfig st_cfg;
-    st_cfg.mode = mac::StationMode::psm;
-    mac::WlanStation st(sim, bss, 1, st_cfg, mac::DcfConfig{}, phy::WlanNicConfig{},
-                        root.fork(2));
+    policy::PsmPolicy psm;
+    policy::PolicyStation st(sim, bss, ap, 1, psm,
+                             policy::PowerPolicyConfig::of(policy::PolicyKind::psm),
+                             mac::DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
     channel::GilbertElliottConfig lossy;
     lossy.mean_good = 100_ms;
     lossy.mean_bad = 100_ms;
@@ -86,7 +86,7 @@ TEST(BadChannelTest, PsmDeliversMostTrafficOverLossyLink) {
     }, DataSize::from_bytes(1400), Rate::from_kbps(64), root.fork(4));
 
     ap.start();
-    st.start(ap.config().beacon_interval, ap.config().beacon_interval);
+    st.start();
     src.start();
     sim.run_until(Time::from_seconds(60));
 

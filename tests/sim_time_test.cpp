@@ -93,6 +93,15 @@ TEST(DataSizeTest, Comparisons) {
     EXPECT_TRUE(DataSize::zero().is_zero());
 }
 
+TEST(DataSizeTest, StrScalesPartialBytesLikeWholeOnes) {
+    EXPECT_EQ(DataSize::from_bytes(1500).str(), "1.465KB");
+    // A size cut off mid-byte (e.g. a burst stopped by a crash) still
+    // prints in B/KB/MB, as a fraction of a byte, never as raw bits.
+    EXPECT_EQ(DataSize::from_bits(12).str(), "1.5B");
+    EXPECT_EQ(DataSize::from_bits(12004).str(), "1.465KB");
+    EXPECT_EQ(DataSize::from_bits(28490000).str(), "3.396MB");
+}
+
 TEST(RateTest, Conversions) {
     EXPECT_DOUBLE_EQ(Rate::from_mbps(11).kbps(), 11000.0);
     EXPECT_DOUBLE_EQ(Rate::from_kbps(128).bps(), 128000.0);

@@ -10,8 +10,8 @@
 #include "core/client.hpp"
 #include "core/server.hpp"
 #include "mac/access_point.hpp"
-#include "mac/station.hpp"
 #include "net/tcp.hpp"
+#include "policy/station.hpp"
 #include "power/energy_meter.hpp"
 #include "sim/logger.hpp"
 #include "sim/simulator.hpp"
@@ -122,9 +122,10 @@ TEST(SmallPaths, StationUplinkCountsOnlyDelivered) {
     mac::AccessPointConfig cfg;
     cfg.mode = mac::ApMode::cam;
     mac::AccessPoint ap(sim, bss, cfg, mac::DcfConfig{}, root.fork(1));
-    mac::StationConfig st_cfg;
-    mac::WlanStation st(sim, bss, 1, st_cfg, mac::DcfConfig{}, phy::WlanNicConfig{},
-                        root.fork(2));
+    policy::CamPolicy cam;
+    policy::PolicyStation st(sim, bss, ap, 1, cam,
+                             policy::PowerPolicyConfig::of(policy::PolicyKind::cam),
+                             mac::DcfConfig{}, phy::WlanNicConfig{}, root.fork(2));
     // Kill the uplink completely: nothing counted as sent.
     channel::GilbertElliottConfig dead;
     dead.ber_good = dead.ber_bad = 0.01;
